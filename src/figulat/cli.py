@@ -21,7 +21,7 @@ from .facets import (
     facet_to_surjection,
 )
 from .lattice import DEFAULT_MAX_POINTS, count_lattice_points, cube_points, point_multiplicity
-from .verifier import ROUTES, verify_algebraic, verify_geometric, verify_pointwise
+from .verifier import ROUTES, SkippedCell, sweep
 
 SCHEMA_VERSION = "1"
 MAX_POINTS_ENV = "FIGULAT_MAX_POINTS"
@@ -73,50 +73,35 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
             out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
-def default_max_points() -> int:
-    value = os.environ.get(MAX_POINTS_ENV)
-    if value is None:
-        return DEFAULT_MAX_POINTS
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{MAX_POINTS_ENV} must be an integer, got {value!r}"
-        )
+def positive_int(text: str) -> int:
+    """argparse type for budgets: an integer >= 1. argparse reports the
+    ValueError of a non-integer as a usage error itself."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return value
 
 
 def cmd_verify(args, out, err) -> int:
-    routes = list(ROUTES) if args.route == "all" else [args.route]
-    ordered_routes = [r for r in ROUTES if r in routes]
+    routes = ROUTES if args.route == "all" else [args.route]
     records = []
     any_failed = False
     any_skipped = False
-    for p in args.p:
-        for n in args.n:
-            for route in ordered_routes:
-                try:
-                    if route == "algebraic":
-                        report = verify_algebraic(p, n)
-                    elif route == "geometric":
-                        report = verify_geometric(
-                            p, n, args.max_expressions, args.max_points
-                        )
-                    else:
-                        report = verify_pointwise(p, n, args.max_points)
-                except BudgetExceededError as exc:
-                    any_skipped = True
-                    err.write(f"skipped p={p} n={n} route={route}: {exc}\n")
-                    continue
-                if not report.ok:
-                    any_failed = True
-                records.append({
-                    "p": report.p,
-                    "n": report.n,
-                    "route": report.route,
-                    "lhs": report.lhs,
-                    "rhs": report.rhs,
-                    "ok": report.ok,
-                })
+    for cell in sweep(args.p, args.n, routes, args.max_expressions, args.max_points):
+        if isinstance(cell, SkippedCell):
+            any_skipped = True
+            err.write(f"skipped p={cell.p} n={cell.n} route={cell.route}: {cell.reason}\n")
+            continue
+        if not cell.ok:
+            any_failed = True
+        records.append({
+            "p": cell.p,
+            "n": cell.n,
+            "route": cell.route,
+            "lhs": cell.lhs,
+            "rhs": cell.rhs,
+            "ok": cell.ok,
+        })
     emit_records(records, args.format, out)
     if any_failed:
         return EXIT_FAILURE
@@ -251,8 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", required=True, type=lambda s: parse_range(s, 1, "--n"))
     verify.add_argument("--route", choices=ROUTES + ("all",), default="all")
     verify.add_argument("--format", choices=formats, default="plain-table")
-    verify.add_argument("--max-expressions", type=int, default=DEFAULT_MAX_EXPRESSIONS)
-    verify.add_argument("--max-points", type=int, default=None)
+    verify.add_argument("--max-expressions", type=positive_int,
+                        default=DEFAULT_MAX_EXPRESSIONS)
+    # argparse runs a string default through `type`, so a bad
+    # FIGULAT_MAX_POINTS is a usage error like a bad --max-points.
+    verify.add_argument("--max-points", type=positive_int,
+                        default=os.environ.get(MAX_POINTS_ENV, DEFAULT_MAX_POINTS),
+                        help=f"default: ${MAX_POINTS_ENV}, else {DEFAULT_MAX_POINTS}")
     verify.set_defaults(func=cmd_verify)
 
     table = sub.add_parser("table", help="print exact number tables")
@@ -271,12 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     facets.add_argument("--format", choices=formats, default="plain-table")
     facets.add_argument("--with-surjections", action="store_true")
     facets.add_argument("--with-counts", type=int, default=None, metavar="N")
-    facets.add_argument("--max-expressions", type=int, default=DEFAULT_MAX_EXPRESSIONS)
+    facets.add_argument("--max-expressions", type=positive_int,
+                        default=DEFAULT_MAX_EXPRESSIONS)
     facets.set_defaults(func=cmd_facets)
 
     audit = sub.add_parser("audit", help="cross-check closed forms against oracles")
     audit.add_argument("--m-max", type=int, default=7)
-    audit.add_argument("--k-max", type=int, default=8)
+    audit.add_argument("--k-max", type=int, default=7)
     audit.add_argument("--n-max", type=int, default=8)
     audit.add_argument("--p-max", type=int, default=6)
     audit.add_argument("--cover-p-max", type=int, default=4)
@@ -301,12 +292,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
             if getattr(args, flag) is None:
                 err.write(f"error: table --kind {args.kind} requires --{flag}\n")
                 return EXIT_USAGE
-    if getattr(args, "max_points", "absent") is None:
-        try:
-            args.max_points = default_max_points()
-        except argparse.ArgumentTypeError as exc:
-            err.write(f"error: {exc}\n")
-            return EXIT_USAGE
 
     try:
         return args.func(args, out, err)

@@ -8,7 +8,7 @@ checks that every cube point is covered with signed multiplicity 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .combinatorics import facet_count, figurate, rhs_identity
 from .errors import BudgetExceededError, DomainError
@@ -128,32 +128,36 @@ SweepCell = Union[VerificationReport, SkippedCell]
 
 
 def sweep(
-    p_max: int,
-    n_max: int,
+    ps: Sequence[int],
+    ns: Sequence[int],
     routes: Iterable[str] = ROUTES,
     max_expressions: int = DEFAULT_MAX_EXPRESSIONS,
     max_points: int = DEFAULT_MAX_POINTS,
-) -> list[SweepCell]:
-    """One cell per (p, n, route), ordered by p, then n, then route.
-    Budget failures become SkippedCell entries; the sweep never aborts."""
+) -> Iterator[SweepCell]:
+    """One cell per (p, n, route), ordered by p, then n, then route, yielded
+    as each finishes. Budget failures become SkippedCell entries; the sweep
+    never aborts. Unknown routes and p or n below 1 raise at call time."""
     routes = list(routes)
     for route in routes:
         if route not in ROUTES:
             raise DomainError(f"unknown route {route!r}; expected one of {ROUTES}")
-    if p_max < 1 or n_max < 1:
-        raise DomainError(f"sweep requires p_max >= 1 and n_max >= 1")
+    if min(ps, default=1) < 1 or min(ns, default=1) < 1:
+        raise DomainError("sweep requires every p >= 1 and every n >= 1")
     ordered_routes = [r for r in ROUTES if r in routes]
-    cells: list[SweepCell] = []
-    for p in range(1, p_max + 1):
-        for n in range(1, n_max + 1):
-            for route in ordered_routes:
-                try:
-                    if route == "algebraic":
-                        cells.append(verify_algebraic(p, n))
-                    elif route == "geometric":
-                        cells.append(verify_geometric(p, n, max_expressions, max_points))
-                    else:
-                        cells.append(verify_pointwise(p, n, max_points))
-                except BudgetExceededError as exc:
-                    cells.append(SkippedCell(p, n, route, str(exc)))
-    return cells
+
+    def generate() -> Iterator[SweepCell]:
+        for p in ps:
+            for n in ns:
+                for route in ordered_routes:
+                    try:
+                        if route == "algebraic":
+                            cell = verify_algebraic(p, n)
+                        elif route == "geometric":
+                            cell = verify_geometric(p, n, max_expressions, max_points)
+                        else:
+                            cell = verify_pointwise(p, n, max_points)
+                    except BudgetExceededError as exc:
+                        cell = SkippedCell(p, n, route, str(exc))
+                    yield cell
+
+    return generate()

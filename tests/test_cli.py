@@ -13,6 +13,98 @@ def run(argv, env=None, monkeypatch=None):
     return code, out.getvalue(), err.getvalue()
 
 
+# `verify --p 1..3 --n 1..3 --route all --max-points 8`, captured before
+# `figulat verify` was moved onto `verifier.sweep`: four cells exceed the
+# budget, their skip lines go to stderr in grid order, and the exit is 3.
+GOLDEN_ARGV = ["verify", "--p", "1..3", "--n", "1..3", "--route", "all",
+               "--max-points", "8"]
+GOLDEN_STDERR = (
+    "skipped p=2 n=3 route=geometric: point enumeration for a 2-block face at side 3 exceeds the point cap: needs 9, budget is 8\n"
+    "skipped p=2 n=3 route=pointwise: cube scan for (p=2, n=3) exceeds the point cap: needs 9, budget is 8\n"
+    "skipped p=3 n=3 route=geometric: point enumeration for a 3-block face at side 3 exceeds the point cap: needs 27, budget is 8\n"
+    "skipped p=3 n=3 route=pointwise: cube scan for (p=3, n=3) exceeds the point cap: needs 27, budget is 8\n"
+)
+GOLDEN_STDOUT = {
+    "plain-table": """\
+schema  p  n  route      lhs  rhs  ok
+1       1  1  algebraic  1    1    True
+1       1  1  geometric  1    1    True
+1       1  1  pointwise  1    1    True
+1       1  2  algebraic  2    2    True
+1       1  2  geometric  2    2    True
+1       1  2  pointwise  2    2    True
+1       1  3  algebraic  3    3    True
+1       1  3  geometric  3    3    True
+1       1  3  pointwise  3    3    True
+1       2  1  algebraic  1    1    True
+1       2  1  geometric  1    1    True
+1       2  1  pointwise  1    1    True
+1       2  2  algebraic  4    4    True
+1       2  2  geometric  4    4    True
+1       2  2  pointwise  4    4    True
+1       2  3  algebraic  9    9    True
+1       3  1  algebraic  1    1    True
+1       3  1  geometric  1    1    True
+1       3  1  pointwise  1    1    True
+1       3  2  algebraic  8    8    True
+1       3  2  geometric  8    8    True
+1       3  2  pointwise  8    8    True
+1       3  3  algebraic  27   27   True
+""",
+    "csv": """\
+schema,p,n,route,lhs,rhs,ok
+1,1,1,algebraic,1,1,True
+1,1,1,geometric,1,1,True
+1,1,1,pointwise,1,1,True
+1,1,2,algebraic,2,2,True
+1,1,2,geometric,2,2,True
+1,1,2,pointwise,2,2,True
+1,1,3,algebraic,3,3,True
+1,1,3,geometric,3,3,True
+1,1,3,pointwise,3,3,True
+1,2,1,algebraic,1,1,True
+1,2,1,geometric,1,1,True
+1,2,1,pointwise,1,1,True
+1,2,2,algebraic,4,4,True
+1,2,2,geometric,4,4,True
+1,2,2,pointwise,4,4,True
+1,2,3,algebraic,9,9,True
+1,3,1,algebraic,1,1,True
+1,3,1,geometric,1,1,True
+1,3,1,pointwise,1,1,True
+1,3,2,algebraic,8,8,True
+1,3,2,geometric,8,8,True
+1,3,2,pointwise,8,8,True
+1,3,3,algebraic,27,27,True
+""".replace("\n", "\r\n"),
+    "json-lines": """\
+{"schema": "1", "p": 1, "n": 1, "route": "algebraic", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 1, "n": 1, "route": "geometric", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 1, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 1, "n": 2, "route": "algebraic", "lhs": 2, "rhs": 2, "ok": true}
+{"schema": "1", "p": 1, "n": 2, "route": "geometric", "lhs": 2, "rhs": 2, "ok": true}
+{"schema": "1", "p": 1, "n": 2, "route": "pointwise", "lhs": 2, "rhs": 2, "ok": true}
+{"schema": "1", "p": 1, "n": 3, "route": "algebraic", "lhs": 3, "rhs": 3, "ok": true}
+{"schema": "1", "p": 1, "n": 3, "route": "geometric", "lhs": 3, "rhs": 3, "ok": true}
+{"schema": "1", "p": 1, "n": 3, "route": "pointwise", "lhs": 3, "rhs": 3, "ok": true}
+{"schema": "1", "p": 2, "n": 1, "route": "algebraic", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 2, "n": 1, "route": "geometric", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 2, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 2, "n": 2, "route": "algebraic", "lhs": 4, "rhs": 4, "ok": true}
+{"schema": "1", "p": 2, "n": 2, "route": "geometric", "lhs": 4, "rhs": 4, "ok": true}
+{"schema": "1", "p": 2, "n": 2, "route": "pointwise", "lhs": 4, "rhs": 4, "ok": true}
+{"schema": "1", "p": 2, "n": 3, "route": "algebraic", "lhs": 9, "rhs": 9, "ok": true}
+{"schema": "1", "p": 3, "n": 1, "route": "algebraic", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 3, "n": 1, "route": "geometric", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 3, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 3, "n": 2, "route": "algebraic", "lhs": 8, "rhs": 8, "ok": true}
+{"schema": "1", "p": 3, "n": 2, "route": "geometric", "lhs": 8, "rhs": 8, "ok": true}
+{"schema": "1", "p": 3, "n": 2, "route": "pointwise", "lhs": 8, "rhs": 8, "ok": true}
+{"schema": "1", "p": 3, "n": 3, "route": "algebraic", "lhs": 27, "rhs": 27, "ok": true}
+""",
+}
+
+
 class TestVerifyCommand:
     def test_algebraic_sweep_ok(self):
         code, out, err = run([
@@ -65,6 +157,10 @@ class TestVerifyCommand:
         ])
         assert code == 3 and "skipped" in err
 
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN_STDOUT))
+    def test_golden_grid_with_skips(self, fmt):
+        assert run(GOLDEN_ARGV + ["--format", fmt]) == (3, GOLDEN_STDOUT[fmt], GOLDEN_STDERR)
+
     def test_csv_and_json_lines_carry_same_records(self):
         argv = ["verify", "--p", "1..3", "--n", "1..2", "--route", "all"]
         _, csv_out, _ = run(argv + ["--format", "csv"])
@@ -77,6 +173,24 @@ class TestVerifyCommand:
             for key in j:
                 # csv stringifies every field; compare rendered values
                 assert c[key] == str(j[key])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "1", "--n", "1", "--max-points"],
+    ["verify", "--p", "1", "--n", "1", "--max-expressions"],
+    ["facets", "--p", "2", "--l", "0", "--max-expressions"],
+], ids=["verify-max-points", "verify-max-expressions", "facets-max-expressions"])
+@pytest.mark.parametrize("value", ["0", "-5", "x", "2.5"])
+def test_budget_flags_need_positive_integers(argv, value):
+    code, out, _ = run(argv + [value])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "x"])
+def test_budget_env_var_needs_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("FIGULAT_MAX_POINTS", value)
+    code, out, _ = run(["verify", "--p", "1", "--n", "1"])
+    assert code == 2 and out == ""
 
 
 class TestTableCommand:
@@ -155,7 +269,11 @@ class TestFacetsCommand:
 
 
 class TestAuditCommand:
-    def test_default_grid_passes(self):
+    def test_default_flags_pass(self):
+        code, out, _ = run(["audit"])
+        assert (code, out) == (0, "audit ok\n")
+
+    def test_reduced_grid_passes(self):
         code, out, _ = run(["audit", "--m-max", "5", "--k-max", "5", "--n-max", "5",
                             "--p-max", "4", "--cover-p-max", "3", "--cover-n-max", "3"])
         assert code == 0

@@ -1,3 +1,5 @@
+from collections.abc import Iterator
+
 import pytest
 
 from figulat.errors import DomainError
@@ -70,14 +72,14 @@ class TestPointwiseRoute:
             report = verify_pointwise(p, 1)
             assert report.ok and report.rhs == 1
 
-    def test_p3_n2_full_sweep(self):
+    def test_p3_n2_cube_scan(self):
         report = verify_pointwise(3, 2)
         assert report.ok and report.rhs == 8 and report.points_enumerated == 8
 
 
 class TestSweep:
     def test_grid_size_and_order(self):
-        cells = sweep(2, 2)
+        cells = list(sweep(range(1, 3), range(1, 3)))
         assert len(cells) == 12
         keys = [(c.p, c.n, c.route) for c in cells]
         routes = ("algebraic", "geometric", "pointwise")
@@ -86,22 +88,30 @@ class TestSweep:
         ]
         assert all(isinstance(c, VerificationReport) and c.ok for c in cells)
 
+    def test_returns_iterator_not_list(self):
+        cells = sweep(range(1, 3), range(1, 3), ["algebraic"])
+        assert isinstance(cells, Iterator) and not isinstance(cells, list)
+        assert (next(cells).p, next(cells).n) == (1, 2)
+
     def test_single_cell(self):
-        cells = sweep(1, 1, ["algebraic"])
+        cells = list(sweep(range(1, 2), range(1, 2), ["algebraic"]))
         assert len(cells) == 1 and cells[0].ok
 
     def test_algebraic_only_grid(self):
-        cells = sweep(4, 3, ["algebraic"])
+        cells = list(sweep(range(1, 5), range(1, 4), ["algebraic"]))
         assert len(cells) == 12 and all(c.ok for c in cells)
 
+    def test_ranges_need_not_start_at_one(self):
+        cells = list(sweep(range(3, 5), range(2, 3), ["algebraic"]))
+        assert [(c.p, c.n) for c in cells] == [(3, 2), (4, 2)]
+
     def test_route_agreement(self):
-        for p in range(1, 5):
-            for n in range(1, 4):
-                values = {c.rhs for c in sweep(p, n) if (c.p, c.n) == (p, n)}
-                assert values == {n ** p}
+        cells = list(sweep(range(1, 5), range(1, 4)))
+        assert len(cells) == 36
+        assert all(c.rhs == c.n ** c.p for c in cells)
 
     def test_budget_produces_skip_not_abort(self):
-        cells = sweep(3, 3, ["pointwise"], max_points=8)
+        cells = list(sweep(range(1, 4), range(1, 4), ["pointwise"], max_points=8))
         skipped = [c for c in cells if isinstance(c, SkippedCell)]
         done = [c for c in cells if isinstance(c, VerificationReport)]
         assert skipped and done and len(cells) == 9
@@ -109,4 +119,8 @@ class TestSweep:
 
     def test_rejects_unknown_route(self):
         with pytest.raises(DomainError):
-            sweep(2, 2, ["sideways"])
+            sweep(range(1, 3), range(1, 3), ["sideways"])
+
+    def test_rejects_values_below_one(self):
+        with pytest.raises(DomainError):
+            sweep(range(0, 3), range(1, 3))
