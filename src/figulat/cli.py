@@ -74,8 +74,8 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
 
 
 def positive_int(text: str) -> int:
-    """argparse type for budgets: an integer >= 1. argparse reports the
-    ValueError of a non-integer as a usage error itself."""
+    """argparse type for budgets and audit bounds: an integer >= 1. argparse
+    reports the ValueError of a non-integer as a usage error itself."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
@@ -141,16 +141,8 @@ def cmd_table(args, out, err) -> int:
 
 
 def cmd_facets(args, out, err) -> int:
-    try:
-        faces = enumerate_facets(args.p, args.l, args.max_expressions)
-    except DomainError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        err.write(f"budget exceeded: {exc}\n")
-        return EXIT_BUDGET
     records = []
-    for face in faces:
+    for face in enumerate_facets(args.p, args.l, args.max_expressions):
         record = {"p": args.p, "l": args.l, "facet": face.text()}
         if args.with_surjections:
             record["surjection"] = ",".join(
@@ -266,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     facets.set_defaults(func=cmd_facets)
 
     audit = sub.add_parser("audit", help="cross-check closed forms against oracles")
-    audit.add_argument("--m-max", type=int, default=7)
-    audit.add_argument("--k-max", type=int, default=7)
-    audit.add_argument("--n-max", type=int, default=8)
-    audit.add_argument("--p-max", type=int, default=6)
-    audit.add_argument("--cover-p-max", type=int, default=4)
-    audit.add_argument("--cover-n-max", type=int, default=3)
+    audit.add_argument("--m-max", type=positive_int, default=7)
+    audit.add_argument("--k-max", type=positive_int, default=7)
+    audit.add_argument("--n-max", type=positive_int, default=8)
+    audit.add_argument("--p-max", type=positive_int, default=6)
+    audit.add_argument("--cover-p-max", type=positive_int, default=4)
+    audit.add_argument("--cover-n-max", type=positive_int, default=3)
     audit.set_defaults(func=cmd_audit)
 
     return parser

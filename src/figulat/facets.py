@@ -1,13 +1,16 @@
-"""Enumeration of the faces of the order decomposition of the p-cube.
+"""Faces of the order decomposition of the p-cube.
 
-A raw face description is a chain expression: a permutation sigma of
-{1..p} interleaved with p-1 relation symbols, each ">=" or "=", read as
-x_{sigma_1} R_1 x_{sigma_2} ... R_{p-1} x_{sigma_p}. Distinct expressions
-can describe the same point set (indices inside an equality run commute),
-so the canonical face identity is an ordered set partition: the maximal
-equality runs, in chain order, with indices sorted inside each block.
-Ordered set partitions of {1..p} into k blocks are in bijection with
-surjections {1..p} -> {1..k}.
+A face is an ordered set partition of {1..p}: blocks of indices with equal
+coordinates, block values weakly decreasing in block order; codimension l
+means p-l blocks. Faces are built directly, each once, sorted by block
+sequence. Partitions into k blocks are in bijection with surjections
+{1..p} -> {1..k}.
+
+The paper's chain expressions stay as the cross-check: a permutation sigma
+of {1..p} interleaved with p-1 relations ">=" or "=", which collapses to
+its face when each maximal equality run becomes a sorted block. The
+expression cap bounds the p! * C(p-1, l) expressions that describe the
+codimension-l faces; it is checked before any face is built.
 """
 from __future__ import annotations
 
@@ -97,7 +100,8 @@ class Surjection:
         return max(self.map)
 
 
-def _check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
+def check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
+    """Raise unless the p! * C(p-1, l) chain expressions fit the cap."""
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
     if l < 0 or l >= p:
@@ -115,7 +119,7 @@ def enumerate_chain_expressions(
 ) -> Iterator[ChainExpression]:
     """Yield all p! * C(p-1, l) chain expressions with exactly l equality
     symbols, in lexicographic order by (sigma, relations)."""
-    _check_enumeration_budget(p, l, max_expressions)
+    check_enumeration_budget(p, l, max_expressions)
 
     def generate() -> Iterator[ChainExpression]:
         for sigma in permutations(range(1, p + 1)):
@@ -156,18 +160,31 @@ def facet_multiplicities(
     return dict(counts)
 
 
+def _block_sequences(left: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every sequence of k nonempty ascending blocks partitioning `left`."""
+    if k == 1:
+        yield (left,)
+        return
+    for size in range(1, len(left) - k + 2):
+        for first in combinations(left, size):
+            rest = tuple(i for i in left if i not in first)
+            for tail in _block_sequences(rest, k - 1):
+                yield (first,) + tail
+
+
 def enumerate_facets(
     p: int, l: int, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
 ) -> list[OrderedSetPartition]:
     """All distinct codimension-l faces, sorted lexicographically by block
     sequence."""
-    distinct = set(facet_multiplicities(p, l, max_expressions))
-    return sorted(distinct, key=lambda f: f.blocks)
+    check_enumeration_budget(p, l, max_expressions)
+    blocks = sorted(_block_sequences(tuple(range(1, p + 1)), p - l))
+    return [OrderedSetPartition(b) for b in blocks]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def all_facets_by_codimension(p: int) -> tuple[tuple[OrderedSetPartition, ...], ...]:
-    """Faces of every codimension 0..p-1, cached per dimension."""
+    """Faces of every codimension 0..p-1, cached for the last p (sweeps run p-major)."""
     return tuple(tuple(enumerate_facets(p, l)) for l in range(p))
 
 

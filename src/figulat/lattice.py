@@ -3,6 +3,7 @@ enumeration, and the signed cover multiplicity of a point."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .combinatorics import figurate
@@ -99,19 +100,7 @@ def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterato
             f"cube scan for (p={p}, n={n}) exceeds the point cap", n ** p, max_points
         )
 
-    def generate() -> Iterator[LatticePoint]:
-        coords = [0] * p
-        while True:
-            yield LatticePoint(tuple(coords), n)
-            i = p - 1
-            while i >= 0 and coords[i] == n - 1:
-                coords[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            coords[i] += 1
-
-    return generate()
+    return (LatticePoint(coords, n) for coords in product(range(n), repeat=p))
 
 
 def point_multiplicity(point: LatticePoint, p: int) -> int:

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .combinatorics import facet_count, figurate, rhs_identity
+from .combinatorics import facet_count, figurate
 from .errors import BudgetExceededError, DomainError
-from .facets import DEFAULT_MAX_EXPRESSIONS, enumerate_facets
+from .facets import DEFAULT_MAX_EXPRESSIONS, check_enumeration_budget, enumerate_facets
 from .lattice import DEFAULT_MAX_POINTS, cube_points, enumerate_points, point_multiplicity
 
 ROUTES = ("algebraic", "geometric", "pointwise")
@@ -57,18 +57,13 @@ def _validate(p: int, n: int) -> None:
 def verify_algebraic(p: int, n: int) -> VerificationReport:
     """Evaluate both sides in closed form."""
     _validate(p, n)
-    terms = tuple(
-        LTerm(
-            l,
-            facet_count(p, l),
-            figurate(p - l, n),
-            (-1) ** l * facet_count(p, l) * figurate(p - l, n),
-        )
-        for l in range(p)
-    )
-    rhs = rhs_identity(p, n)
+    terms = []
+    for l in range(p):
+        count, points = facet_count(p, l), figurate(p - l, n)
+        terms.append(LTerm(l, count, points, (-1) ** l * count * points))
+    rhs = sum(t.signed_term for t in terms)
     lhs = n ** p
-    return VerificationReport(p, n, lhs, "algebraic", rhs, terms, lhs == rhs)
+    return VerificationReport(p, n, lhs, "algebraic", rhs, tuple(terms), lhs == rhs)
 
 
 def verify_geometric(
@@ -103,14 +98,19 @@ def verify_pointwise(
     p: int,
     n: int,
     max_points: int = DEFAULT_MAX_POINTS,
+    max_expressions: int = DEFAULT_MAX_EXPRESSIONS,
 ) -> VerificationReport:
-    """Check that every cube point has signed cover multiplicity 1."""
+    """Check that every cube point has signed cover multiplicity 1. The
+    cube's budget, then every codimension's, is checked before the scan."""
     _validate(p, n)
+    points = cube_points(p, n, max_points)
+    for l in range(p):
+        check_enumeration_budget(p, l, max_expressions)
     rhs = 0
     ok = True
     first_failure: Optional[tuple[int, ...]] = None
     points_enumerated = 0
-    for point in cube_points(p, n, max_points):
+    for point in points:
         points_enumerated += 1
         multiplicity = point_multiplicity(point, p)
         rhs += multiplicity
@@ -155,7 +155,7 @@ def sweep(
                         elif route == "geometric":
                             cell = verify_geometric(p, n, max_expressions, max_points)
                         else:
-                            cell = verify_pointwise(p, n, max_points)
+                            cell = verify_pointwise(p, n, max_points, max_expressions)
                     except BudgetExceededError as exc:
                         cell = SkippedCell(p, n, route, str(exc))
                     yield cell

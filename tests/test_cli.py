@@ -193,6 +193,15 @@ def test_budget_env_var_needs_positive_integer(monkeypatch, value):
     assert code == 2 and out == ""
 
 
+def test_pointwise_route_honours_expression_cap():
+    argv = ["verify", "--p", "4", "--n", "1", "--max-expressions", "1"]
+    code, out, err = run(argv + ["--route", "pointwise"])
+    geo_code, _, geo_err = run(argv + ["--route", "geometric"])
+    assert (code, out) == (geo_code, "") == (3, "")
+    assert err.startswith("skipped p=4 n=1 route=pointwise: ")
+    assert err.split(": ", 1)[1] == geo_err.split(": ", 1)[1]
+
+
 class TestTableCommand:
     def test_facet_counts_row(self):
         code, out, _ = run([
@@ -282,3 +291,10 @@ class TestAuditCommand:
     def test_malformed_flag(self):
         code, _, _ = run(["audit", "--m-max", "not-a-number"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--m-max", "--k-max", "--n-max", "--p-max",
+                                      "--cover-p-max", "--cover-n-max"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bounds_need_positive_integers(self, flag, value):
+        code, out, _ = run(["audit", flag, value])
+        assert code == 2 and out == ""

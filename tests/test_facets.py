@@ -146,6 +146,18 @@ class TestEnumerateFacets:
                         expected *= factorial(len(block))
                     assert count == expected
 
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_direct_generation_matches_chain_expression_collapse(self, p):
+        for l in range(p):
+            collapsed = sorted(facet_multiplicities(p, l), key=lambda f: f.blocks)
+            assert enumerate_facets(p, l) == collapsed
+
+    def test_expression_cap_checked_before_any_face(self):
+        required = factorial(6) * comb(5, 2)
+        with pytest.raises(BudgetExceededError, match=r"\(p=6, l=2\)"):
+            enumerate_facets(6, 2, max_expressions=required - 1)
+        assert len(enumerate_facets(6, 2, max_expressions=required)) == facet_count(6, 2)
+
 
 class TestSurjectionBijection:
     def test_facet_to_surjection_examples(self):

@@ -1,3 +1,4 @@
+import inspect
 from itertools import product
 
 import pytest
@@ -115,6 +116,9 @@ class TestCubePoints:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             cube_points(8, 10, max_points=10 ** 6)
+
+    def test_is_a_generator(self):
+        assert inspect.isgenerator(cube_points(2, 2))
 
 
 class TestPointMultiplicity:

@@ -2,7 +2,9 @@ from collections.abc import Iterator
 
 import pytest
 
-from figulat.errors import DomainError
+from figulat.combinatorics import rhs_identity
+from figulat.errors import BudgetExceededError, DomainError
+from figulat.lattice import DEFAULT_MAX_POINTS
 from figulat.verifier import (
     SkippedCell,
     VerificationReport,
@@ -35,6 +37,17 @@ class TestAlgebraicRoute:
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):
             verify_algebraic(0, 1)
+
+    def test_rhs_is_the_closed_form_sum(self):
+        for p in range(1, 40):
+            for n in range(1, 4):
+                report = verify_algebraic(p, n)
+                assert report.rhs == rhs_identity(p, n)
+                assert report.rhs == sum(t.signed_term for t in report.per_l_terms)
+                assert [t.signed_term for t in report.per_l_terms] == [
+                    (-1) ** t.l * t.facet_count * t.per_facet_points
+                    for t in report.per_l_terms
+                ]
 
 
 class TestGeometricRoute:
@@ -76,6 +89,18 @@ class TestPointwiseRoute:
         report = verify_pointwise(3, 2)
         assert report.ok and report.rhs == 8 and report.points_enumerated == 8
 
+    def test_expression_cap_is_checked_before_the_scan(self):
+        # p=4, l=0 needs 4! = 24 expressions; l=1 needs 4! * 3 = 72.
+        with pytest.raises(BudgetExceededError, match=r"\(p=4, l=0\).*needs 24, budget is 23"):
+            verify_pointwise(4, 1, DEFAULT_MAX_POINTS, 23)
+        with pytest.raises(BudgetExceededError, match=r"\(p=4, l=1\).*needs 72, budget is 71"):
+            verify_pointwise(4, 1, max_expressions=71)
+        assert verify_pointwise(4, 2, DEFAULT_MAX_POINTS, 72).ok
+
+    def test_cube_cap_is_checked_first(self):
+        with pytest.raises(BudgetExceededError, match="cube scan"):
+            verify_pointwise(3, 3, max_points=8, max_expressions=1)
+
 
 class TestSweep:
     def test_grid_size_and_order(self):
@@ -116,6 +141,11 @@ class TestSweep:
         done = [c for c in cells if isinstance(c, VerificationReport)]
         assert skipped and done and len(cells) == 9
         assert all(c.ok for c in done)
+
+    def test_expression_cap_skips_geometric_and_pointwise_alike(self):
+        cells = list(sweep([4], [1], max_expressions=71))
+        assert [type(c) for c in cells] == [VerificationReport, SkippedCell, SkippedCell]
+        assert cells[1].reason == cells[2].reason
 
     def test_rejects_unknown_route(self):
         with pytest.raises(DomainError):
