@@ -1,10 +1,18 @@
 """Lattice-point geometry of the cube faces: membership, per-face point
-enumeration, and the signed cover multiplicity of a point."""
+enumeration, and the signed cover multiplicity of a point.
+
+A face is the set {x : x_i >= x_j for every relation its chain forces},
+so whether it contains a point depends only on the point's weak order
+type. Both are encoded as relation bit sets on p indices (bit i*p + j set
+iff x_{i+1} >= x_{j+1}), and a face contains a point iff every bit of the
+face is a bit of the point.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .combinatorics import figurate
 from .errors import BudgetExceededError, DomainError
@@ -103,16 +111,59 @@ def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterato
     return (LatticePoint(coords, n) for coords in product(range(n), repeat=p))
 
 
+def _weak_order(values: Sequence[int]) -> int:
+    """The weak order of the values: bit i*p + j is set iff
+    values[i] >= values[j]."""
+    p = len(values)
+    return sum(
+        1 << (i * p + j)
+        for i, a in enumerate(values)
+        for j, b in enumerate(values)
+        if a >= b
+    )
+
+
+def _face_relation(facet: OrderedSetPartition, p: int) -> int:
+    """The relations the face forces: bit i*p + j is set iff index i+1 sits
+    in the same block as j+1 or an earlier one."""
+    bits = 0
+    at_or_after = 0  # indices in this block or a later one
+    for block in reversed(facet.blocks):
+        for idx in block:
+            at_or_after |= 1 << (idx - 1)
+        for idx in block:
+            bits |= at_or_after << ((idx - 1) * p)
+    return bits
+
+
+@lru_cache(maxsize=1)
+def _face_index(p: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    """The relation bit set of every face, by codimension, and an empty memo
+    of signed counts by weak order type. Cached for the last p only, so the
+    memo never outlives its faces."""
+    faces = tuple(
+        tuple(_face_relation(f, p) for f in by_l)
+        for by_l in all_facets_by_codimension(p)
+    )
+    return faces, {}
+
+
 def point_multiplicity(point: LatticePoint, p: int) -> int:
     """Signed cover multiplicity: sum over codimension l of (-1)^l times the
     number of codimension-l faces containing the point. Always 1 for points
-    of the cube."""
+    of the cube. The faces are tested one by one, once per weak order type."""
     if len(point.coords) != p:
         raise DomainError(
             f"point has {len(point.coords)} coordinates, expected {p}"
         )
-    total = 0
-    for l, faces in enumerate(all_facets_by_codimension(p)):
-        containing = sum(1 for f in faces if facet_contains(f, point))
-        total += (-1) ** l * containing
+    faces, signed_counts = _face_index(p)
+    kind = _weak_order(point.coords)
+    total = signed_counts.get(kind)
+    if total is None:
+        outside = ~kind
+        total = sum(
+            (-1) ** l * sum(1 for f in by_l if not f & outside)
+            for l, by_l in enumerate(faces)
+        )
+        signed_counts[kind] = total
     return total

@@ -105,6 +105,76 @@ schema,p,n,route,lhs,rhs,ok
 }
 
 
+# `verify --p 1..6 --n 1..3 --route pointwise`, captured before the
+# pointwise route counted containing faces by weak order type: every cell
+# passes, nothing goes to stderr, and the exit is 0.
+POINTWISE_GOLDEN_ARGV = ["verify", "--p", "1..6", "--n", "1..3", "--route", "pointwise"]
+POINTWISE_GOLDEN_STDOUT = {
+    "plain-table": """\
+schema  p  n  route      lhs  rhs  ok
+1       1  1  pointwise  1    1    True
+1       1  2  pointwise  2    2    True
+1       1  3  pointwise  3    3    True
+1       2  1  pointwise  1    1    True
+1       2  2  pointwise  4    4    True
+1       2  3  pointwise  9    9    True
+1       3  1  pointwise  1    1    True
+1       3  2  pointwise  8    8    True
+1       3  3  pointwise  27   27   True
+1       4  1  pointwise  1    1    True
+1       4  2  pointwise  16   16   True
+1       4  3  pointwise  81   81   True
+1       5  1  pointwise  1    1    True
+1       5  2  pointwise  32   32   True
+1       5  3  pointwise  243  243  True
+1       6  1  pointwise  1    1    True
+1       6  2  pointwise  64   64   True
+1       6  3  pointwise  729  729  True
+""",
+    "csv": """\
+schema,p,n,route,lhs,rhs,ok
+1,1,1,pointwise,1,1,True
+1,1,2,pointwise,2,2,True
+1,1,3,pointwise,3,3,True
+1,2,1,pointwise,1,1,True
+1,2,2,pointwise,4,4,True
+1,2,3,pointwise,9,9,True
+1,3,1,pointwise,1,1,True
+1,3,2,pointwise,8,8,True
+1,3,3,pointwise,27,27,True
+1,4,1,pointwise,1,1,True
+1,4,2,pointwise,16,16,True
+1,4,3,pointwise,81,81,True
+1,5,1,pointwise,1,1,True
+1,5,2,pointwise,32,32,True
+1,5,3,pointwise,243,243,True
+1,6,1,pointwise,1,1,True
+1,6,2,pointwise,64,64,True
+1,6,3,pointwise,729,729,True
+""".replace("\n", "\r\n"),
+    "json-lines": """\
+{"schema": "1", "p": 1, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 1, "n": 2, "route": "pointwise", "lhs": 2, "rhs": 2, "ok": true}
+{"schema": "1", "p": 1, "n": 3, "route": "pointwise", "lhs": 3, "rhs": 3, "ok": true}
+{"schema": "1", "p": 2, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 2, "n": 2, "route": "pointwise", "lhs": 4, "rhs": 4, "ok": true}
+{"schema": "1", "p": 2, "n": 3, "route": "pointwise", "lhs": 9, "rhs": 9, "ok": true}
+{"schema": "1", "p": 3, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 3, "n": 2, "route": "pointwise", "lhs": 8, "rhs": 8, "ok": true}
+{"schema": "1", "p": 3, "n": 3, "route": "pointwise", "lhs": 27, "rhs": 27, "ok": true}
+{"schema": "1", "p": 4, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 4, "n": 2, "route": "pointwise", "lhs": 16, "rhs": 16, "ok": true}
+{"schema": "1", "p": 4, "n": 3, "route": "pointwise", "lhs": 81, "rhs": 81, "ok": true}
+{"schema": "1", "p": 5, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 5, "n": 2, "route": "pointwise", "lhs": 32, "rhs": 32, "ok": true}
+{"schema": "1", "p": 5, "n": 3, "route": "pointwise", "lhs": 243, "rhs": 243, "ok": true}
+{"schema": "1", "p": 6, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
+{"schema": "1", "p": 6, "n": 2, "route": "pointwise", "lhs": 64, "rhs": 64, "ok": true}
+{"schema": "1", "p": 6, "n": 3, "route": "pointwise", "lhs": 729, "rhs": 729, "ok": true}
+""",
+}
+
+
 class TestVerifyCommand:
     def test_algebraic_sweep_ok(self):
         code, out, err = run([
@@ -160,6 +230,11 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("fmt", sorted(GOLDEN_STDOUT))
     def test_golden_grid_with_skips(self, fmt):
         assert run(GOLDEN_ARGV + ["--format", fmt]) == (3, GOLDEN_STDOUT[fmt], GOLDEN_STDERR)
+
+    @pytest.mark.parametrize("fmt", sorted(POINTWISE_GOLDEN_STDOUT))
+    def test_golden_pointwise_grid(self, fmt):
+        argv = POINTWISE_GOLDEN_ARGV + ["--format", fmt]
+        assert run(argv) == (0, POINTWISE_GOLDEN_STDOUT[fmt], "")
 
     def test_csv_and_json_lines_carry_same_records(self):
         argv = ["verify", "--p", "1..3", "--n", "1..2", "--route", "all"]

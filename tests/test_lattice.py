@@ -1,10 +1,14 @@
 import inspect
+from collections import Counter, defaultdict
 from itertools import product
+from math import comb
 
 import pytest
 
+from figulat import lattice
+from figulat.combinatorics import surjection_count
 from figulat.errors import BudgetExceededError, DomainError
-from figulat.facets import OrderedSetPartition, enumerate_facets
+from figulat.facets import OrderedSetPartition, all_facets_by_codimension, enumerate_facets
 from figulat.lattice import (
     LatticePoint,
     count_lattice_points,
@@ -13,10 +17,19 @@ from figulat.lattice import (
     facet_contains,
     point_multiplicity,
 )
+from figulat.verifier import verify_pointwise
 
 
 def pt(coords, n):
     return LatticePoint(tuple(coords), n)
+
+
+def signed_count(faces_by_l, q):
+    """Signed cover multiplicity counted with facet_contains, uncached."""
+    return sum(
+        (-1) ** l * sum(1 for f in faces if facet_contains(f, q))
+        for l, faces in enumerate(faces_by_l)
+    )
 
 
 def scan_cube(f, p, n):
@@ -145,3 +158,71 @@ class TestPointMultiplicity:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             point_multiplicity(pt((0, 0), 2), 3)
+
+
+class TestFaceRelationIndex:
+    def test_relation_test_matches_facet_contains(self):
+        for p in range(1, 6):
+            faces, _ = lattice._face_index(p)
+            pairs = list(zip(
+                (f for by_l in all_facets_by_codimension(p) for f in by_l),
+                (bits for by_l in faces for bits in by_l),
+            ))
+            assert len(pairs) == sum(map(len, faces))
+            for n in range(1, 4):
+                for q in cube_points(p, n):
+                    kind = lattice._weak_order(q.coords)
+                    for f, bits in pairs:
+                        assert (bits & ~kind == 0) == facet_contains(f, q)
+
+    def test_multiplicity_matches_uncached_count_at_p6(self):
+        faces = all_facets_by_codimension(6)
+        for coords in [(0,) * 6, (2, 1, 0, 2, 1, 0), (0, 1, 2, 2, 1, 0),
+                       (1, 1, 0, 0, 2, 2), (2, 2, 2, 2, 2, 1), (0, 3, 1, 3, 2, 0)]:
+            q = pt(coords, 4)
+            assert point_multiplicity(q, 6) == signed_count(faces, q) == 1
+
+    def test_types_are_exactly_weak_orders(self):
+        """Points of side n group by relation into types with k distinct
+        values, C(n, k) points each, and k! * S(p, k) such types."""
+        for p in range(1, 6):
+            for n in range(1, 5):
+                groups = defaultdict(list)
+                for q in cube_points(p, n):
+                    groups[lattice._weak_order(q.coords)].append(q.coords)
+                types_by_k = Counter()
+                for members in groups.values():
+                    (k,) = {len(set(coords)) for coords in members}
+                    assert len(members) == comb(n, k)
+                    types_by_k[k] += 1
+                assert types_by_k == {
+                    k: surjection_count(p, k) for k in range(1, min(p, n) + 1)
+                }
+
+
+class TestFaceIndexMemo:
+    def test_memo_does_not_hide_a_missing_face(self, monkeypatch):
+        real = lattice.all_facets_by_codimension
+        broken = list(real(4))
+        broken[2] = broken[2][1:]
+        broken = tuple(broken)
+        monkeypatch.setattr(
+            lattice, "all_facets_by_codimension",
+            lambda p: broken if p == 4 else real(p),
+        )
+        lattice._face_index.cache_clear()
+        try:
+            report = verify_pointwise(4, 3)
+            counts = [(q.coords, signed_count(broken, q)) for q in cube_points(4, 3)]
+            assert report.ok is False
+            assert report.first_failure == next(c for c, m in counts if m != 1)
+            assert report.rhs == sum(m for _, m in counts)
+
+            assert verify_pointwise(5, 3).ok is True
+            assert verify_pointwise(4, 2).ok is False
+            assert lattice._face_index.cache_info().currsize == 1
+            # Only the types of the last cell: p=4 points with 1 or 2 values.
+            _, memo = lattice._face_index(4)
+            assert len(memo) == surjection_count(4, 1) + surjection_count(4, 2)
+        finally:
+            lattice._face_index.cache_clear()
