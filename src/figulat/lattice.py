@@ -137,33 +137,25 @@ def _face_relation(facet: OrderedSetPartition, p: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _face_index(p: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-    """The relation bit set of every face, by codimension, and an empty memo
-    of signed counts by weak order type. Cached for the last p only, so the
-    memo never outlives its faces."""
-    faces = tuple(
+def _face_index(p: int) -> tuple[tuple[int, ...], ...]:
+    """The relation bit set of every face, by codimension. Cached for the
+    last p only, like the faces it is built from."""
+    return tuple(
         tuple(_face_relation(f, p) for f in by_l)
         for by_l in all_facets_by_codimension(p)
     )
-    return faces, {}
 
 
 def point_multiplicity(point: LatticePoint, p: int) -> int:
     """Signed cover multiplicity: sum over codimension l of (-1)^l times the
     number of codimension-l faces containing the point. Always 1 for points
-    of the cube. The faces are tested one by one, once per weak order type."""
+    of the cube. The faces are tested one by one."""
     if len(point.coords) != p:
         raise DomainError(
             f"point has {len(point.coords)} coordinates, expected {p}"
         )
-    faces, signed_counts = _face_index(p)
-    kind = _weak_order(point.coords)
-    total = signed_counts.get(kind)
-    if total is None:
-        outside = ~kind
-        total = sum(
-            (-1) ** l * sum(1 for f in by_l if not f & outside)
-            for l, by_l in enumerate(faces)
-        )
-        signed_counts[kind] = total
-    return total
+    outside = ~_weak_order(point.coords)
+    return sum(
+        (-1) ** l * sum(1 for f in by_l if not f & outside)
+        for l, by_l in enumerate(_face_index(p))
+    )

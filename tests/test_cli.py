@@ -106,7 +106,7 @@ schema,p,n,route,lhs,rhs,ok
 
 
 # `verify --p 1..6 --n 1..3 --route pointwise`, captured before the
-# pointwise route counted containing faces by weak order type: every cell
+# pointwise route tested faces as relation bit sets: every cell
 # passes, nothing goes to stderr, and the exit is 0.
 POINTWISE_GOLDEN_ARGV = ["verify", "--p", "1..6", "--n", "1..3", "--route", "pointwise"]
 POINTWISE_GOLDEN_STDOUT = {

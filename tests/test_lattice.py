@@ -163,7 +163,7 @@ class TestPointMultiplicity:
 class TestFaceRelationIndex:
     def test_relation_test_matches_facet_contains(self):
         for p in range(1, 6):
-            faces, _ = lattice._face_index(p)
+            faces = lattice._face_index(p)
             pairs = list(zip(
                 (f for by_l in all_facets_by_codimension(p) for f in by_l),
                 (bits for by_l in faces for bits in by_l),
@@ -200,8 +200,7 @@ class TestFaceRelationIndex:
                 }
 
 
-class TestFaceIndexMemo:
-    def test_memo_does_not_hide_a_missing_face(self, monkeypatch):
+    def test_missing_face_is_reported_at_the_first_wrong_point(self, monkeypatch):
         real = lattice.all_facets_by_codimension
         broken = list(real(4))
         broken[2] = broken[2][1:]
@@ -221,8 +220,5 @@ class TestFaceIndexMemo:
             assert verify_pointwise(5, 3).ok is True
             assert verify_pointwise(4, 2).ok is False
             assert lattice._face_index.cache_info().currsize == 1
-            # Only the types of the last cell: p=4 points with 1 or 2 values.
-            _, memo = lattice._face_index(4)
-            assert len(memo) == surjection_count(4, 1) + surjection_count(4, 2)
         finally:
             lattice._face_index.cache_clear()
