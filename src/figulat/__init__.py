@@ -4,9 +4,7 @@ routes: closed-form algebra, face-by-face lattice-point enumeration, and
 pointwise signed-cover counting."""
 
 from .combinatorics import (
-    binomial,
     facet_count,
-    falling_factorial,
     figurate,
     rhs_identity,
     stirling2_inclusion_exclusion,
@@ -49,7 +47,6 @@ __all__ = [
     "OrderedSetPartition",
     "Surjection",
     "VerificationReport",
-    "binomial",
     "canonicalize",
     "count_lattice_points",
     "enumerate_chain_expressions",
@@ -58,7 +55,6 @@ __all__ = [
     "facet_contains",
     "facet_count",
     "facet_to_surjection",
-    "falling_factorial",
     "figurate",
     "point_multiplicity",
     "rhs_identity",

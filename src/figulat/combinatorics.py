@@ -1,4 +1,4 @@
-"""Exact closed-form combinatorics: binomials, figurate numbers, Stirling
+"""Exact closed-form combinatorics: figurate numbers, Stirling
 numbers of the second kind, surjection and facet counts, and both sides of
 the cube-decomposition identity.
 
@@ -10,13 +10,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import DomainError, ExactnessError
-
-
-def binomial(a: int, b: int) -> int:
-    """C(a, b) for nonnegative integers; 0 when b > a."""
-    if a < 0 or b < 0:
-        raise DomainError(f"binomial requires nonnegative arguments, got ({a}, {b})")
-    return comb(a, b)
 
 
 def figurate(k: int, n: int) -> int:
@@ -78,22 +71,17 @@ def facet_count(p: int, l: int) -> int:
     return factorial(p - l) * stirling2_recurrence(p, p - l)
 
 
-def falling_factorial(x: int, j: int) -> int:
-    """x(x-1)...(x-j+1); the empty product (j = 0) is 1."""
-    if j < 0:
-        raise DomainError(f"falling_factorial requires j >= 0, got {j}")
-    result = 1
-    for i in range(j):
-        result *= x - i
-    return result
-
-
 def stirling_identity_eval(p: int, x: int) -> int:
     """sum_{j=1}^{p} S(p,j) * x(x-1)...(x-j+1); equals x^p for every
     integer x."""
     if p < 1:
         raise DomainError(f"exponent must be >= 1, got p={p}")
-    return sum(stirling2_recurrence(p, j) * falling_factorial(x, j) for j in range(1, p + 1))
+    total = 0
+    falling = 1
+    for j in range(1, p + 1):
+        falling *= x - j + 1
+        total += stirling2_recurrence(p, j) * falling
+    return total
 
 
 def rhs_identity(p: int, n: int) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 from typing import Iterator
@@ -180,12 +179,6 @@ def enumerate_facets(
     check_enumeration_budget(p, l, max_expressions)
     blocks = sorted(_block_sequences(tuple(range(1, p + 1)), p - l))
     return [OrderedSetPartition(b) for b in blocks]
-
-
-@lru_cache(maxsize=1)
-def all_facets_by_codimension(p: int) -> tuple[tuple[OrderedSetPartition, ...], ...]:
-    """Faces of every codimension 0..p-1, cached for the last p (sweeps run p-major)."""
-    return tuple(tuple(enumerate_facets(p, l)) for l in range(p))
 
 
 def facet_to_surjection(facet: OrderedSetPartition) -> Surjection:

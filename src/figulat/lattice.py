@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from .combinatorics import figurate
 from .errors import BudgetExceededError, DomainError
-from .facets import OrderedSetPartition, all_facets_by_codimension
+from .facets import OrderedSetPartition, enumerate_facets
 
 # Full-cube scans and per-face enumerations stop at this many points.
 DEFAULT_MAX_POINTS = 10 ** 7
@@ -139,10 +139,11 @@ def _face_relation(facet: OrderedSetPartition, p: int) -> int:
 @lru_cache(maxsize=1)
 def _face_index(p: int) -> tuple[tuple[int, ...], ...]:
     """The relation bit set of every face, by codimension. Cached for the
-    last p only, like the faces it is built from."""
+    last p only, since sweeps run p-major; the faces themselves are not
+    kept."""
     return tuple(
-        tuple(_face_relation(f, p) for f in by_l)
-        for by_l in all_facets_by_codimension(p)
+        tuple(_face_relation(f, p) for f in enumerate_facets(p, l))
+        for l in range(p)
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import factorial
+from operator import ge
 
 from .errors import BudgetExceededError, DomainError
 from .facets import Surjection
@@ -69,11 +70,7 @@ def oracle_weakly_decreasing_tuples(k: int, n: int, max_points: int = DEFAULT_MA
         raise BudgetExceededError(
             f"tuple scan for (k={k}, n={n}) exceeds the point cap", n ** k, max_points
         )
-    return sum(
-        1
-        for t in product(range(n), repeat=k)
-        if all(a >= b for a, b in zip(t, t[1:]))
-    )
+    return sum(1 for t in product(range(n), repeat=k) if all(map(ge, t, t[1:])))
 
 
 def _group_factor(size: int) -> int:

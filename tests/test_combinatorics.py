@@ -1,12 +1,10 @@
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from figulat.combinatorics import (
-    binomial,
     facet_count,
-    falling_factorial,
     figurate,
     rhs_identity,
     stirling2_inclusion_exclusion,
@@ -15,10 +13,6 @@ from figulat.combinatorics import (
     surjection_count,
 )
 from figulat.errors import DomainError
-
-
-def count_subsets(n, k):
-    return sum(1 for _ in combinations(range(n), k))
 
 
 def count_weakly_decreasing(k, n):
@@ -43,24 +37,6 @@ def count_surjections(m, j):
         for values in product(range(j), repeat=m)
         if set(values) == set(range(j))
     )
-
-
-class TestBinomial:
-    def test_oracle_small(self):
-        assert binomial(5, 2) == count_subsets(5, 2) == 10
-
-    def test_edge_cases(self):
-        assert binomial(4, 0) == 1
-        assert binomial(3, 5) == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            binomial(-1, 2)
-
-    @given(st.integers(0, 60), st.integers(0, 60))
-    def test_symmetry(self, a, b):
-        if b <= a:
-            assert binomial(a, b) == binomial(a, a - b)
 
 
 class TestFigurate:
@@ -152,25 +128,6 @@ class TestFacetCount:
     def test_rejects_out_of_range(self, p, l):
         with pytest.raises(DomainError):
             facet_count(p, l)
-
-
-class TestFallingFactorial:
-    def test_negative_base(self):
-        assert falling_factorial(-2, 2) == (-2) * (-3) == 6
-
-    def test_empty_product(self):
-        assert falling_factorial(7, 0) == 1
-        assert falling_factorial(-3, 0) == 1
-
-    def test_zero_factor(self):
-        assert falling_factorial(3, 4) == 0
-
-    @given(st.integers(-20, 20), st.integers(0, 10))
-    def test_matches_direct_product(self, x, j):
-        expected = 1
-        for i in range(j):
-            expected *= x - i
-        assert falling_factorial(x, j) == expected
 
 
 class TestStirlingIdentity:

@@ -1,3 +1,4 @@
+import gc
 import inspect
 from collections import Counter, defaultdict
 from itertools import product
@@ -8,7 +9,7 @@ import pytest
 from figulat import lattice
 from figulat.combinatorics import surjection_count
 from figulat.errors import BudgetExceededError, DomainError
-from figulat.facets import OrderedSetPartition, all_facets_by_codimension, enumerate_facets
+from figulat.facets import OrderedSetPartition, enumerate_facets
 from figulat.lattice import (
     LatticePoint,
     count_lattice_points,
@@ -22,6 +23,11 @@ from figulat.verifier import verify_pointwise
 
 def pt(coords, n):
     return LatticePoint(tuple(coords), n)
+
+
+def faces_by_codimension(p):
+    """Every face of the p-cube, by codimension, in `_face_index` order."""
+    return tuple(tuple(enumerate_facets(p, l)) for l in range(p))
 
 
 def signed_count(faces_by_l, q):
@@ -165,7 +171,7 @@ class TestFaceRelationIndex:
         for p in range(1, 6):
             faces = lattice._face_index(p)
             pairs = list(zip(
-                (f for by_l in all_facets_by_codimension(p) for f in by_l),
+                (f for by_l in faces_by_codimension(p) for f in by_l),
                 (bits for by_l in faces for bits in by_l),
             ))
             assert len(pairs) == sum(map(len, faces))
@@ -176,7 +182,7 @@ class TestFaceRelationIndex:
                         assert (bits & ~kind == 0) == facet_contains(f, q)
 
     def test_multiplicity_matches_uncached_count_at_p6(self):
-        faces = all_facets_by_codimension(6)
+        faces = faces_by_codimension(6)
         for coords in [(0,) * 6, (2, 1, 0, 2, 1, 0), (0, 1, 2, 2, 1, 0),
                        (1, 1, 0, 0, 2, 2), (2, 2, 2, 2, 2, 1), (0, 3, 1, 3, 2, 0)]:
             q = pt(coords, 4)
@@ -199,15 +205,14 @@ class TestFaceRelationIndex:
                     k: surjection_count(p, k) for k in range(1, min(p, n) + 1)
                 }
 
-
     def test_missing_face_is_reported_at_the_first_wrong_point(self, monkeypatch):
-        real = lattice.all_facets_by_codimension
-        broken = list(real(4))
+        real = lattice.enumerate_facets
+        broken = list(faces_by_codimension(4))
         broken[2] = broken[2][1:]
         broken = tuple(broken)
         monkeypatch.setattr(
-            lattice, "all_facets_by_codimension",
-            lambda p: broken if p == 4 else real(p),
+            lattice, "enumerate_facets",
+            lambda p, l: list(broken[l]) if p == 4 else real(p, l),
         )
         lattice._face_index.cache_clear()
         try:
@@ -222,3 +227,14 @@ class TestFaceRelationIndex:
             assert lattice._face_index.cache_info().currsize == 1
         finally:
             lattice._face_index.cache_clear()
+
+    def test_pointwise_cell_keeps_no_face_objects(self):
+        def live_faces():
+            gc.collect()
+            return sum(isinstance(o, OrderedSetPartition) for o in gc.get_objects())
+
+        # A p=1 cell first, so no cache still holds faces of a larger p.
+        assert verify_pointwise(1, 1).ok is True
+        before = live_faces()
+        assert verify_pointwise(6, 2).ok is True
+        assert live_faces() <= before
