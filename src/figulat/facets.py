@@ -58,15 +58,15 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
         for block in self.blocks:
             if not block:
                 raise DomainError("blocks must be nonempty")
             if list(block) != sorted(block):
                 raise DomainError(f"block indices must ascend, got {block}")
-            if seen & set(block):
-                raise DomainError("blocks must be pairwise disjoint")
-            seen.update(block)
+        indices = [i for block in self.blocks for i in block]
+        seen = set(indices)
+        if len(seen) != len(indices):
+            raise DomainError("blocks must be pairwise disjoint")
         if seen != set(range(1, len(seen) + 1)):
             raise DomainError(f"blocks must cover 1..p exactly, got {sorted(seen)}")
 

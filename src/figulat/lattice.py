@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .combinatorics import figurate
@@ -30,7 +31,7 @@ class LatticePoint:
     def __post_init__(self):
         if self.side < 1:
             raise DomainError(f"side must be >= 1, got {self.side}")
-        if any(c < 0 or c > self.side - 1 for c in self.coords):
+        if self.coords and (min(self.coords) < 0 or max(self.coords) >= self.side):
             raise DomainError(
                 f"coordinates must lie in [0, {self.side - 1}], got {self.coords}"
             )
@@ -57,13 +58,21 @@ def facet_contains(facet: OrderedSetPartition, point: LatticePoint) -> bool:
 
 
 def _weakly_decreasing_tuples(k: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing k-tuples over {0..n-1}, in lexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(n):
-        for rest in _weakly_decreasing_tuples(k - 1, first + 1):
-            yield (first,) + rest
+    """Weakly decreasing k-tuples over {0..n-1}, in lexicographic order.
+
+    An odometer: each step bumps the rightmost position still below its
+    left neighbour (the first position is bounded by n - 1) and zeroes the
+    positions after it."""
+    values = [0] * k
+    while True:
+        yield tuple(values)
+        i = k - 1
+        while i > 0 and values[i] == values[i - 1]:
+            i -= 1
+        if i < 0 or values[i] == n - 1:
+            return
+        values[i] += 1
+        values[i + 1:] = [0] * (k - 1 - i)
 
 
 def enumerate_points(
@@ -79,17 +88,18 @@ def enumerate_points(
             f"point enumeration for a {k}-block face at side {n} exceeds the "
             f"point cap", n ** k, max_points
         )
-
-    def generate() -> Iterator[LatticePoint]:
-        p = facet.ground_size
-        for values in _weakly_decreasing_tuples(k, n):
-            coords = [0] * p
-            for value, block in zip(values, facet.blocks):
-                for idx in block:
-                    coords[idx - 1] = value
-            yield LatticePoint(tuple(coords), n)
-
-    return generate()
+    # where[i] is the block holding index i + 1. With at most one index the
+    # value tuple is already the coordinate tuple; itemgetter of one index
+    # would return a bare value.
+    where = [0] * facet.ground_size
+    for position, block in enumerate(facet.blocks):
+        for idx in block:
+            where[idx - 1] = position
+    coords_of = itemgetter(*where) if len(where) > 1 else tuple
+    return (
+        LatticePoint(coords_of(values), n)
+        for values in _weakly_decreasing_tuples(k, n)
+    )
 
 
 def count_lattice_points(facet: OrderedSetPartition, n: int) -> int:

@@ -80,13 +80,15 @@ def verify_geometric(
     points_enumerated = 0
     for l in range(p):
         faces = enumerate_facets(p, l, max_expressions)
-        counts = [
+        counts = (
             sum(1 for _ in enumerate_points(f, n, max_points)) for f in faces
-        ]
-        points_enumerated += sum(counts)
-        signed = (-1) ** l * sum(counts)
+        )
+        first = next(counts)
+        total = first + sum(counts)
+        points_enumerated += total
+        signed = (-1) ** l * total
         rhs += signed
-        terms.append(LTerm(l, len(faces), counts[0], signed))
+        terms.append(LTerm(l, len(faces), first, signed))
     lhs = n ** p
     return VerificationReport(
         p, n, lhs, "geometric", rhs, tuple(terms), lhs == rhs,

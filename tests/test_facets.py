@@ -106,6 +106,15 @@ class TestOrderedSetPartition:
         with pytest.raises(DomainError):
             OrderedSetPartition(((2, 1), (3,)))
 
+    def test_rejects_repeat_within_a_block(self):
+        with pytest.raises(DomainError):
+            OrderedSetPartition(((1, 1),))
+
+    @pytest.mark.parametrize("blocks", [((1,), (3,)), ((0, 1),)])
+    def test_rejects_indices_that_miss_1_to_p(self, blocks):
+        with pytest.raises(DomainError):
+            OrderedSetPartition(blocks)
+
     def test_text_form(self):
         f = OrderedSetPartition(((1, 2), (3,)))
         assert f.text() == "{1,2}>={3}"

@@ -1,5 +1,6 @@
 import gc
 import inspect
+import sys
 from collections import Counter, defaultdict
 from itertools import product
 from math import comb
@@ -54,6 +55,17 @@ class TestLatticePoint:
         with pytest.raises(DomainError):
             pt((-1,), 3)
 
+    def test_rejects_side_zero(self):
+        with pytest.raises(DomainError):
+            pt((), 0)
+
+    def test_accepts_both_ends_of_the_range(self):
+        assert pt((0, 4, 2), 5).coords == (0, 4, 2)
+        assert pt((0,), 1).coords == (0,)
+
+    def test_accepts_no_coordinates(self):
+        assert pt((), 1).coords == ()
+
     def test_text(self):
         assert pt((1, 0, 2), 3).text() == "1,0,2"
 
@@ -99,6 +111,30 @@ class TestEnumeratePoints:
                         enumerated = [q.coords for q in enumerate_points(f, n)]
                         assert sorted(enumerated) == sorted(scan_cube(f, p, n))
                         assert len(enumerated) == len(set(enumerated))
+
+    def test_lexicographic_order_on_every_small_face(self):
+        """The points are the weakly decreasing value tuples, in sorted
+        order, each spread over its blocks (p <= 5, n <= 5)."""
+        for p in range(1, 6):
+            for l in range(p):
+                for f in enumerate_facets(p, l):
+                    for n in range(1, 6):
+                        expected = []
+                        for values in product(range(n), repeat=f.num_blocks):
+                            if list(values) != sorted(values, reverse=True):
+                                continue
+                            coords = [None] * p
+                            for value, block in zip(values, f.blocks):
+                                for idx in block:
+                                    coords[idx - 1] = value
+                            expected.append(tuple(coords))
+                        got = [q.coords for q in enumerate_points(f, n)]
+                        assert got == expected
+
+    def test_walk_depth_does_not_grow_with_blocks(self):
+        k = sys.getrecursionlimit() + 10
+        f = OrderedSetPartition(tuple((i,) for i in range(1, k + 1)))
+        assert [q.coords for q in enumerate_points(f, 1)] == [(0,) * k]
 
     def test_budget(self):
         f = OrderedSetPartition(((1,), (2,), (3,)))
