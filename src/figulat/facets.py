@@ -2,9 +2,9 @@
 
 A face is an ordered set partition of {1..p}: blocks of indices with equal
 coordinates, block values weakly decreasing in block order; codimension l
-means p-l blocks. Faces are built directly, each once, sorted by block
-sequence. Partitions into k blocks are in bijection with surjections
-{1..p} -> {1..k}.
+means p-l blocks. Faces are built directly, each once, already in sorted
+order of their block sequences. Partitions into k blocks are in bijection
+with surjections {1..p} -> {1..k}.
 
 The paper's chain expressions stay as the cross-check: a permutation sigma
 of {1..p} interleaved with p-1 relations ">=" or "=", which collapses to
@@ -58,6 +58,8 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not self.blocks:
+            raise DomainError("a face must have at least one block")
         for block in self.blocks:
             if not block:
                 raise DomainError("blocks must be nonempty")
@@ -119,19 +121,17 @@ def enumerate_chain_expressions(
     """Yield all p! * C(p-1, l) chain expressions with exactly l equality
     symbols, in lexicographic order by (sigma, relations)."""
     check_enumeration_budget(p, l, max_expressions)
-
-    def generate() -> Iterator[ChainExpression]:
-        for sigma in permutations(range(1, p + 1)):
-            # "=" sorts before ">=", so combinations of EQ positions in
-            # lexicographic order give relation tuples in lexicographic order
-            for eq_positions in combinations(range(p - 1), l):
-                eq_set = set(eq_positions)
-                relations = tuple(
-                    EQ if i in eq_set else GEQ for i in range(p - 1)
-                )
-                yield ChainExpression(sigma, relations)
-
-    return generate()
+    # "=" sorts before ">=", so combinations of EQ positions in
+    # lexicographic order give relation tuples in lexicographic order
+    relation_tuples = [
+        tuple(EQ if i in eq_positions else GEQ for i in range(p - 1))
+        for eq_positions in combinations(range(p - 1), l)
+    ]
+    return (
+        ChainExpression(sigma, relations)
+        for sigma in permutations(range(1, p + 1))
+        for relations in relation_tuples
+    )
 
 
 def canonicalize(expr: ChainExpression) -> OrderedSetPartition:
@@ -159,26 +159,35 @@ def facet_multiplicities(
     return dict(counts)
 
 
-def _block_sequences(left: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every sequence of k nonempty ascending blocks partitioning `left`."""
+def _block_sequences(
+    left: tuple[int, ...], k: int, prefix: tuple[tuple[int, ...], ...] = ()
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """`prefix` followed by every sequence of k nonempty ascending blocks
+    partitioning `left`, in lexicographic order: the first blocks are taken
+    in sorted order. Passing the prefix down builds each sequence once, at
+    the leaf, instead of once per level."""
     if k == 1:
-        yield (left,)
+        yield prefix + (left,)
         return
-    for size in range(1, len(left) - k + 2):
-        for first in combinations(left, size):
-            rest = tuple(i for i in left if i not in first)
-            for tail in _block_sequences(rest, k - 1):
-                yield (first,) + tail
+    firsts = sorted(
+        first
+        for size in range(1, len(left) - k + 2)
+        for first in combinations(left, size)
+    )
+    for first in firsts:
+        rest = tuple(i for i in left if i not in first)
+        yield from _block_sequences(rest, k - 1, prefix + (first,))
 
 
 def enumerate_facets(
     p: int, l: int, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
 ) -> list[OrderedSetPartition]:
-    """All distinct codimension-l faces, sorted lexicographically by block
-    sequence."""
+    """All distinct codimension-l faces, generated in lexicographic order of
+    block sequence."""
     check_enumeration_budget(p, l, max_expressions)
-    blocks = sorted(_block_sequences(tuple(range(1, p + 1)), p - l))
-    return [OrderedSetPartition(b) for b in blocks]
+    return [
+        OrderedSetPartition(b) for b in _block_sequences(tuple(range(1, p + 1)), p - l)
+    ]
 
 
 def facet_to_surjection(facet: OrderedSetPartition) -> Surjection:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -57,29 +57,12 @@ def facet_contains(facet: OrderedSetPartition, point: LatticePoint) -> bool:
     return all(a >= b for a, b in zip(values, values[1:]))
 
 
-def _weakly_decreasing_tuples(k: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing k-tuples over {0..n-1}, in lexicographic order.
-
-    An odometer: each step bumps the rightmost position still below its
-    left neighbour (the first position is bounded by n - 1) and zeroes the
-    positions after it."""
-    values = [0] * k
-    while True:
-        yield tuple(values)
-        i = k - 1
-        while i > 0 and values[i] == values[i - 1]:
-            i -= 1
-        if i < 0 or values[i] == n - 1:
-            return
-        values[i] += 1
-        values[i + 1:] = [0] * (k - 1 - i)
-
-
 def enumerate_points(
     facet: OrderedSetPartition, n: int, max_points: int = DEFAULT_MAX_POINTS
 ) -> Iterator[LatticePoint]:
-    """Yield the lattice points of the face, each once, in lexicographic
-    order of the block-value tuples."""
+    """Yield the lattice points of the face, each once. Read from the last
+    block to the first, the block values weakly increase: they are the
+    size-k multisets of {0..n-1}, yielded in lexicographic order."""
     if n < 1:
         raise DomainError(f"side must be >= 1, got n={n}")
     k = facet.num_blocks
@@ -88,17 +71,17 @@ def enumerate_points(
             f"point enumeration for a {k}-block face at side {n} exceeds the "
             f"point cap", n ** k, max_points
         )
-    # where[i] is the block holding index i + 1. With at most one index the
-    # value tuple is already the coordinate tuple; itemgetter of one index
-    # would return a bare value.
+    # where[i] is the position, counted from the last block, of the block
+    # holding index i + 1. With one index the value tuple is already the
+    # coordinate tuple; itemgetter of one index would return a bare value.
     where = [0] * facet.ground_size
-    for position, block in enumerate(facet.blocks):
+    for position, block in enumerate(reversed(facet.blocks)):
         for idx in block:
             where[idx - 1] = position
     coords_of = itemgetter(*where) if len(where) > 1 else tuple
     return (
         LatticePoint(coords_of(values), n)
-        for values in _weakly_decreasing_tuples(k, n)
+        for values in combinations_with_replacement(range(n), k)
     )
 
 
@@ -161,6 +144,8 @@ def point_multiplicity(point: LatticePoint, p: int) -> int:
     """Signed cover multiplicity: sum over codimension l of (-1)^l times the
     number of codimension-l faces containing the point. Always 1 for points
     of the cube. The faces are tested one by one."""
+    if p < 1:
+        raise DomainError(f"dimension must be >= 1, got p={p}")
     if len(point.coords) != p:
         raise DomainError(
             f"point has {len(point.coords)} coordinates, expected {p}"

@@ -11,6 +11,7 @@ from figulat.facets import (
     ChainExpression,
     OrderedSetPartition,
     Surjection,
+    _block_sequences,
     canonicalize,
     enumerate_chain_expressions,
     enumerate_facets,
@@ -98,6 +99,10 @@ class TestOrderedSetPartition:
         with pytest.raises(DomainError):
             OrderedSetPartition(((1,), ()))
 
+    def test_rejects_no_blocks(self):
+        with pytest.raises(DomainError):
+            OrderedSetPartition(())
+
     def test_rejects_overlap(self):
         with pytest.raises(DomainError):
             OrderedSetPartition(((1, 2), (2, 3)))
@@ -154,6 +159,12 @@ class TestEnumerateFacets:
                     for block in face.blocks:
                         expected *= factorial(len(block))
                     assert count == expected
+
+    def test_block_sequences_are_generated_sorted(self):
+        for p in range(1, 8):
+            for k in range(1, p + 1):
+                sequences = list(_block_sequences(tuple(range(1, p + 1)), k))
+                assert sequences == sorted(sequences)
 
     @pytest.mark.parametrize("p", range(1, 8))
     def test_direct_generation_matches_chain_expression_collapse(self, p):

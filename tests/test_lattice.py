@@ -112,19 +112,20 @@ class TestEnumeratePoints:
                         assert sorted(enumerated) == sorted(scan_cube(f, p, n))
                         assert len(enumerated) == len(set(enumerated))
 
-    def test_lexicographic_order_on_every_small_face(self):
-        """The points are the weakly decreasing value tuples, in sorted
-        order, each spread over its blocks (p <= 5, n <= 5)."""
+    def test_multiset_order_on_every_small_face(self):
+        """The points are the weakly increasing value tuples, in sorted
+        order, value j spread over the j-th block from the last
+        (p <= 5, n <= 5)."""
         for p in range(1, 6):
             for l in range(p):
                 for f in enumerate_facets(p, l):
                     for n in range(1, 6):
                         expected = []
                         for values in product(range(n), repeat=f.num_blocks):
-                            if list(values) != sorted(values, reverse=True):
+                            if list(values) != sorted(values):
                                 continue
                             coords = [None] * p
-                            for value, block in zip(values, f.blocks):
+                            for value, block in zip(values, reversed(f.blocks)):
                                 for idx in block:
                                     coords[idx - 1] = value
                             expected.append(tuple(coords))
@@ -200,6 +201,10 @@ class TestPointMultiplicity:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             point_multiplicity(pt((0, 0), 2), 3)
+
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(DomainError):
+            point_multiplicity(pt((), 1), 0)
 
 
 class TestFaceRelationIndex:
