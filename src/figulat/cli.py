@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     facets.add_argument("--l", required=True, type=int)
     facets.add_argument("--format", choices=formats, default="plain-table")
     facets.add_argument("--with-surjections", action="store_true")
-    facets.add_argument("--with-counts", type=int, default=None, metavar="N")
+    facets.add_argument("--with-counts", type=positive_int, default=None, metavar="N")
     facets.add_argument("--max-expressions", type=positive_int,
                         default=DEFAULT_MAX_EXPRESSIONS)
     facets.set_defaults(func=cmd_facets)

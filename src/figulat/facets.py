@@ -45,6 +45,15 @@ class ChainExpression:
         if any(r not in (GEQ, EQ) for r in self.relations):
             raise DomainError(f"relation symbols must be {GEQ!r} or {EQ!r}")
 
+    @classmethod
+    def _trusted(cls, sigma, relations):
+        """Build without the checks, for a sigma and relations the
+        package's own generator has already made valid."""
+        expr = object.__new__(cls)
+        object.__setattr__(expr, "sigma", sigma)
+        object.__setattr__(expr, "relations", relations)
+        return expr
+
     def text(self) -> str:
         parts = [f"x{self.sigma[0]}"]
         for rel, idx in zip(self.relations, self.sigma[1:]):
@@ -71,6 +80,14 @@ class OrderedSetPartition:
             raise DomainError("blocks must be pairwise disjoint")
         if seen != set(range(1, len(seen) + 1)):
             raise DomainError(f"blocks must cover 1..p exactly, got {sorted(seen)}")
+
+    @classmethod
+    def _trusted(cls, blocks):
+        """Build without the checks, for blocks the package's own
+        generator has already made a valid ordered set partition."""
+        face = object.__new__(cls)
+        object.__setattr__(face, "blocks", blocks)
+        return face
 
     @property
     def ground_size(self) -> int:
@@ -127,8 +144,9 @@ def enumerate_chain_expressions(
         tuple(EQ if i in eq_positions else GEQ for i in range(p - 1))
         for eq_positions in combinations(range(p - 1), l)
     ]
+    trusted = ChainExpression._trusted
     return (
-        ChainExpression(sigma, relations)
+        trusted(sigma, relations)
         for sigma in permutations(range(1, p + 1))
         for relations in relation_tuples
     )
@@ -185,9 +203,14 @@ def enumerate_facets(
     """All distinct codimension-l faces, generated in lexicographic order of
     block sequence."""
     check_enumeration_budget(p, l, max_expressions)
-    return [
-        OrderedSetPartition(b) for b in _block_sequences(tuple(range(1, p + 1)), p - l)
-    ]
+    # Each face replaces its block sequence in a finished list: faster than
+    # building it while the recursive generator is suspended, and no second
+    # list of the codimension is held.
+    faces = list(_block_sequences(tuple(range(1, p + 1)), p - l))
+    trusted = OrderedSetPartition._trusted
+    for i, blocks in enumerate(faces):
+        faces[i] = trusted(blocks)
+    return faces
 
 
 def facet_to_surjection(facet: OrderedSetPartition) -> Surjection:

@@ -36,6 +36,15 @@ class LatticePoint:
                 f"coordinates must lie in [0, {self.side - 1}], got {self.coords}"
             )
 
+    @classmethod
+    def _trusted(cls, coords, side):
+        """Build without the checks, for a side >= 1 and coordinates the
+        package's own generators have drawn from range(side)."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", coords)
+        object.__setattr__(point, "side", side)
+        return point
+
     def text(self) -> str:
         return ",".join(str(c) for c in self.coords)
 
@@ -79,8 +88,9 @@ def enumerate_points(
         for idx in block:
             where[idx - 1] = position
     coords_of = itemgetter(*where) if len(where) > 1 else tuple
+    trusted = LatticePoint._trusted
     return (
-        LatticePoint(coords_of(values), n)
+        trusted(coords_of(values), n)
         for values in combinations_with_replacement(range(n), k)
     )
 
@@ -100,8 +110,8 @@ def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterato
         raise BudgetExceededError(
             f"cube scan for (p={p}, n={n}) exceeds the point cap", n ** p, max_points
         )
-
-    return (LatticePoint(coords, n) for coords in product(range(n), repeat=p))
+    trusted = LatticePoint._trusted
+    return (trusted(coords, n) for coords in product(range(n), repeat=p))
 
 
 def _weak_order(values: Sequence[int]) -> int:

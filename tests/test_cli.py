@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from figulat import cli
 from figulat.cli import main
 
 
@@ -254,10 +255,20 @@ class TestVerifyCommand:
     ["verify", "--p", "1", "--n", "1", "--max-points"],
     ["verify", "--p", "1", "--n", "1", "--max-expressions"],
     ["facets", "--p", "2", "--l", "0", "--max-expressions"],
-], ids=["verify-max-points", "verify-max-expressions", "facets-max-expressions"])
+    ["facets", "--p", "2", "--l", "0", "--with-counts"],
+], ids=["verify-max-points", "verify-max-expressions", "facets-max-expressions",
+        "facets-with-counts"])
 @pytest.mark.parametrize("value", ["0", "-5", "x", "2.5"])
 def test_budget_flags_need_positive_integers(argv, value):
     code, out, _ = run(argv + [value])
+    assert code == 2 and out == ""
+
+
+def test_bad_with_counts_is_rejected_before_any_face_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_facets was called")
+    monkeypatch.setattr(cli, "enumerate_facets", refuse)
+    code, out, _ = run(["facets", "--p", "8", "--l", "3", "--with-counts", "0"])
     assert code == 2 and out == ""
 
 

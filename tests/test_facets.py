@@ -69,6 +69,21 @@ class TestEnumerateChainExpressions:
         with pytest.raises(BudgetExceededError, match="cap"):
             enumerate_chain_expressions(5, 2, max_expressions=10)
 
+    def test_generated_expressions_skip_validation_and_pass_it(self, count_validations):
+        validated = count_validations(ChainExpression)
+        for p in range(1, 6):
+            for l in range(p):
+                exprs = list(enumerate_chain_expressions(p, l))
+                assert validated == []
+                for e in exprs:
+                    assert type(e) is ChainExpression
+                    rebuilt = ChainExpression(e.sigma, e.relations)
+                    assert rebuilt == e and hash(rebuilt) == hash(e)
+                assert len(validated) == len(exprs)
+                validated.clear()
+        ChainExpression((1,), ())
+        assert len(validated) == 1
+
     def test_rejects_bad_codimension(self):
         with pytest.raises(DomainError):
             enumerate_chain_expressions(3, 3)
@@ -171,6 +186,26 @@ class TestEnumerateFacets:
         for l in range(p):
             collapsed = sorted(facet_multiplicities(p, l), key=lambda f: f.blocks)
             assert enumerate_facets(p, l) == collapsed
+
+    def test_collapse_still_validates_every_face(self, count_validations):
+        validated = count_validations(OrderedSetPartition)
+        for l in range(5):
+            multiplicities = facet_multiplicities(5, l)
+            assert len(validated) == sum(multiplicities.values())
+            validated.clear()
+
+    def test_generated_faces_skip_validation_and_pass_it(self, count_validations):
+        validated = count_validations(OrderedSetPartition)
+        for p in range(1, 8):
+            for l in range(p):
+                faces = enumerate_facets(p, l)
+                assert validated == []
+                for face in faces:
+                    assert type(face) is OrderedSetPartition
+                    rebuilt = OrderedSetPartition(face.blocks)
+                    assert rebuilt == face and hash(rebuilt) == hash(face)
+                assert len(validated) == len(faces)
+                validated.clear()
 
     def test_expression_cap_checked_before_any_face(self):
         required = factorial(6) * comb(5, 2)

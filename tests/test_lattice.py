@@ -132,6 +132,21 @@ class TestEnumeratePoints:
                         got = [q.coords for q in enumerate_points(f, n)]
                         assert got == expected
 
+    def test_generated_points_skip_validation_and_pass_it(self, count_validations):
+        validated = count_validations(LatticePoint)
+        for p in range(1, 6):
+            for l in range(p):
+                for f in enumerate_facets(p, l):
+                    for n in range(1, 5):
+                        points = list(enumerate_points(f, n))
+                        assert validated == []
+                        for q in points:
+                            assert type(q) is LatticePoint
+                            rebuilt = LatticePoint(q.coords, q.side)
+                            assert rebuilt == q and hash(rebuilt) == hash(q)
+                        assert len(validated) == len(points)
+                        validated.clear()
+
     def test_walk_depth_does_not_grow_with_blocks(self):
         k = sys.getrecursionlimit() + 10
         f = OrderedSetPartition(tuple((i,) for i in range(1, k + 1)))
@@ -175,6 +190,36 @@ class TestCubePoints:
 
     def test_is_a_generator(self):
         assert inspect.isgenerator(cube_points(2, 2))
+
+    def test_generated_points_skip_validation_and_pass_it(self, count_validations):
+        validated = count_validations(LatticePoint)
+        for p in range(1, 11):
+            for n in range(1, 5):
+                if n ** p > 1024:
+                    continue
+                points = list(cube_points(p, n))
+                assert validated == []
+                for q in points:
+                    assert type(q) is LatticePoint
+                    rebuilt = LatticePoint(q.coords, q.side)
+                    assert rebuilt == q and hash(rebuilt) == hash(q)
+                assert len(validated) == len(points)
+                validated.clear()
+
+
+def test_generators_skip_both_validators(count_validations):
+    faces = count_validations(OrderedSetPartition)
+    points = count_validations(LatticePoint)
+    for l in range(6):
+        for f in enumerate_facets(6, l):
+            for _ in enumerate_points(f, 2):
+                pass
+    for _ in cube_points(6, 2):
+        pass
+    assert (len(faces), len(points)) == (0, 0)
+    OrderedSetPartition(((1,),))
+    LatticePoint((0,), 1)
+    assert (len(faces), len(points)) == (1, 1)
 
 
 class TestPointMultiplicity:
