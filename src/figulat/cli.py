@@ -272,6 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Print exact results of any length; Python builds that have this
+        # setter refuse by default to convert ints over 4300 digits to text.
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -61,14 +61,32 @@ def surjection_count(m: int, j: int) -> int:
     return factorial(j) * stirling2_recurrence(m, j)
 
 
+# (p, row) with row[j - 1] = j! * S(p, j): the face counts of the last p
+# asked for, since sweeps run p-major.
+_facet_row: tuple[int, list[int]] = (0, [])
+
+
 def facet_count(p: int, l: int) -> int:
     """Number c_{p,l} of codimension-l faces of the order decomposition of
-    the p-cube: (p-l)! * S(p, p-l)."""
+    the p-cube: (p-l)! * S(p, p-l). The whole row of p is built on the
+    first call for that p, with a running factorial; only the last row is
+    kept."""
+    global _facet_row
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
     if l < 0 or l >= p:
         raise DomainError(f"codimension must satisfy 0 <= l <= p-1, got l={l} for p={p}")
-    return factorial(p - l) * stirling2_recurrence(p, p - l)
+    row_p, row = _facet_row
+    if row_p != p:
+        # Filled here, not by a helper, so the Stirling recursion starts no
+        # deeper than it would for a single count.
+        row = []
+        j_factorial = 1
+        for j in range(1, p + 1):
+            j_factorial *= j
+            row.append(j_factorial * stirling2_recurrence(p, j))
+        _facet_row = (p, row)
+    return row[p - l - 1]
 
 
 def stirling_identity_eval(p: int, x: int) -> int:

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .combinatorics import figurate
 from .errors import BudgetExceededError, DomainError
-from .facets import OrderedSetPartition, enumerate_facets
+from .facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, enumerate_facets
 
 # Full-cube scans and per-face enumerations stop at this many points.
 DEFAULT_MAX_POINTS = 10 ** 7
@@ -140,20 +140,23 @@ def _face_relation(facet: OrderedSetPartition, p: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _face_index(p: int) -> tuple[tuple[int, ...], ...]:
+def _face_index(p: int, max_expressions: int) -> tuple[tuple[int, ...], ...]:
     """The relation bit set of every face, by codimension. Cached for the
-    last p only, since sweeps run p-major; the faces themselves are not
-    kept."""
+    last p and expression cap only, since sweeps run p-major; the faces
+    themselves are not kept."""
     return tuple(
-        tuple(_face_relation(f, p) for f in enumerate_facets(p, l))
+        tuple(_face_relation(f, p) for f in enumerate_facets(p, l, max_expressions))
         for l in range(p)
     )
 
 
-def point_multiplicity(point: LatticePoint, p: int) -> int:
+def point_multiplicity(
+    point: LatticePoint, p: int, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
+) -> int:
     """Signed cover multiplicity: sum over codimension l of (-1)^l times the
     number of codimension-l faces containing the point. Always 1 for points
-    of the cube. The faces are tested one by one."""
+    of the cube. The faces are tested one by one; `max_expressions` is the
+    budget of the face enumeration."""
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
     if len(point.coords) != p:
@@ -163,5 +166,5 @@ def point_multiplicity(point: LatticePoint, p: int) -> int:
     outside = ~_weak_order(point.coords)
     return sum(
         (-1) ** l * sum(1 for f in by_l if not f & outside)
-        for l, by_l in enumerate(_face_index(p))
+        for l, by_l in enumerate(_face_index(p, max_expressions))
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -286,6 +287,40 @@ def test_pointwise_route_honours_expression_cap():
     assert (code, out) == (geo_code, "") == (3, "")
     assert err.startswith("skipped p=4 n=1 route=pointwise: ")
     assert err.split(": ", 1)[1] == geo_err.split(": ", 1)[1]
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """The int-to-text digit limit a fresh interpreter starts with, restored
+    afterwards; builds without the limit have nothing to set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", ["plain-table", "csv", "json-lines"])
+def test_results_over_4300_digits_print_exactly(fmt, default_int_digit_limit):
+    p, n = 400, 10 ** 12
+    code, out, err = run(["verify", "--p", str(p), "--n", str(n),
+                          "--route", "algebraic", "--format", fmt])
+    assert (code, err) == (0, "")
+    if fmt == "json-lines":
+        record = json.loads(out, parse_int=str)
+    elif fmt == "csv":
+        (record,) = csv.DictReader(io.StringIO(out))
+    else:
+        header, row = out.splitlines()
+        record = dict(zip(header.split(), row.split()))
+    # n ** p in decimal, spelled out so the check itself converts no int.
+    expected = "1" + "0" * (12 * p)
+    assert record["lhs"] == record["rhs"] == expected
+    assert len(expected) > 4300
 
 
 class TestTableCommand:

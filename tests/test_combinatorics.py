@@ -1,4 +1,6 @@
+import random
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,7 +100,6 @@ class TestSurjectionCount:
         assert surjection_count(3, 2) == count_surjections(3, 2) == 6
 
     def test_bijections(self):
-        from math import factorial
         for p in range(1, 8):
             assert surjection_count(p, p) == factorial(p)
 
@@ -113,7 +114,6 @@ class TestSurjectionCount:
 
 class TestFacetCount:
     def test_top_dimension_counts_permutations(self):
-        from math import factorial
         for p in range(1, 9):
             assert facet_count(p, 0) == factorial(p)
 
@@ -128,6 +128,19 @@ class TestFacetCount:
     def test_rejects_out_of_range(self, p, l):
         with pytest.raises(DomainError):
             facet_count(p, l)
+
+    def test_matches_inclusion_exclusion_in_any_p_order(self):
+        """Counts come from one row per p; visiting p up, down, shuffled
+        and repeated catches a row kept for the wrong p."""
+        ps = list(range(1, 61))
+        shuffled = ps[:]
+        random.Random(0).shuffle(shuffled)
+        repeated = [7, 7, 3, 7, 60, 1, 60, 2, 2]
+        for p in ps + ps[::-1] + shuffled + repeated:
+            assert [facet_count(p, l) for l in range(p)] == [
+                factorial(p - l) * stirling2_inclusion_exclusion(p, p - l)
+                for l in range(p)
+            ]
 
 
 class TestStirlingIdentity:

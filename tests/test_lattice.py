@@ -10,7 +10,7 @@ import pytest
 from figulat import lattice
 from figulat.combinatorics import surjection_count
 from figulat.errors import BudgetExceededError, DomainError
-from figulat.facets import OrderedSetPartition, enumerate_facets
+from figulat.facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, enumerate_facets
 from figulat.lattice import (
     LatticePoint,
     count_lattice_points,
@@ -255,7 +255,7 @@ class TestPointMultiplicity:
 class TestFaceRelationIndex:
     def test_relation_test_matches_facet_contains(self):
         for p in range(1, 6):
-            faces = lattice._face_index(p)
+            faces = lattice._face_index(p, DEFAULT_MAX_EXPRESSIONS)
             pairs = list(zip(
                 (f for by_l in faces_by_codimension(p) for f in by_l),
                 (bits for by_l in faces for bits in by_l),
@@ -298,7 +298,7 @@ class TestFaceRelationIndex:
         broken = tuple(broken)
         monkeypatch.setattr(
             lattice, "enumerate_facets",
-            lambda p, l: list(broken[l]) if p == 4 else real(p, l),
+            lambda p, l, cap: list(broken[l]) if p == 4 else real(p, l, cap),
         )
         lattice._face_index.cache_clear()
         try:
@@ -324,3 +324,23 @@ class TestFaceRelationIndex:
         before = live_faces()
         assert verify_pointwise(6, 2).ok is True
         assert live_faces() <= before
+
+    def test_face_index_receives_the_pointwise_expression_cap(self, monkeypatch):
+        caps = []
+        real = lattice.enumerate_facets
+
+        def spy(p, l, max_expressions):
+            caps.append(max_expressions)
+            return real(p, l, max_expressions)
+
+        monkeypatch.setattr(lattice, "enumerate_facets", spy)
+        lattice._face_index.cache_clear()
+        try:
+            raised = 2 * DEFAULT_MAX_EXPRESSIONS
+            assert verify_pointwise(3, 2, max_expressions=raised).ok is True
+            assert caps == [raised] * 3
+            caps.clear()
+            assert point_multiplicity(pt((1, 0, 1), 2), 3) == 1
+            assert caps == [DEFAULT_MAX_EXPRESSIONS] * 3
+        finally:
+            lattice._face_index.cache_clear()

@@ -1,8 +1,9 @@
 from collections.abc import Iterator
+from math import comb, factorial
 
 import pytest
 
-from figulat.combinatorics import rhs_identity
+from figulat.combinatorics import rhs_identity, stirling2_inclusion_exclusion
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.lattice import DEFAULT_MAX_POINTS
 from figulat.verifier import (
@@ -48,6 +49,17 @@ class TestAlgebraicRoute:
                     (-1) ** t.l * t.facet_count * t.per_facet_points
                     for t in report.per_l_terms
                 ]
+
+    def test_terms_match_independent_closed_forms(self):
+        """Each term against inclusion-exclusion Stirling numbers and
+        math.comb, with p revisited out of order."""
+        for p in [1, 9, 30, 4, 30, 12, 1]:
+            for n in range(1, 5):
+                for t in verify_algebraic(p, n).per_l_terms:
+                    count = factorial(p - t.l) * stirling2_inclusion_exclusion(p, p - t.l)
+                    points = comb(n + p - t.l - 1, p - t.l)
+                    assert (t.facet_count, t.per_facet_points) == (count, points)
+                    assert t.signed_term == (-1) ** t.l * count * points
 
 
 class TestGeometricRoute:
