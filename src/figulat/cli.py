@@ -7,13 +7,11 @@ sweep cell or listing was skipped for budget reasons.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from typing import Optional, Sequence
 
-from . import combinatorics, oracles
+from . import combinatorics
 from .errors import BudgetExceededError, DomainError
 from .facets import (
     DEFAULT_MAX_EXPRESSIONS,
@@ -54,11 +52,13 @@ def emit_records(records: list[dict], fmt: str, out) -> None:
     fields, including the schema version."""
     tagged = [{"schema": SCHEMA_VERSION, **r} for r in records]
     if fmt == "json-lines":
+        import json
         for record in tagged:
             out.write(json.dumps(record) + "\n")
     elif fmt == "csv":
         if not tagged:
             return
+        import csv
         writer = csv.DictWriter(out, fieldnames=list(tagged[0].keys()))
         writer.writeheader()
         writer.writerows(tagged)
@@ -158,6 +158,7 @@ def cmd_facets(args, out, err) -> int:
 def _audit_pairings(args):
     """Yield (name, computed, expected) triples for every closed-form-vs-
     oracle pairing."""
+    from . import oracles
     for m in range(0, args.m_max + 1):
         for j in range(1, max(m, 1) + 1):
             yield (

@@ -11,11 +11,14 @@ of {1..p} interleaved with p-1 relations ">=" or "=", which collapses to
 its face when each maximal equality run becomes a sorted block. The
 expression cap bounds the p! * C(p-1, l) expressions that describe the
 codimension-l faces; it is checked before any face is built.
+
+Faces, chain expressions and surjections are immutable named tuples, each
+equal only to its own type. A direct call checks its arguments; the
+package's generators build with `tuple.__new__`, which skips the checks.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations, permutations
 from math import comb, factorial
 from typing import Iterator
@@ -29,30 +32,37 @@ EQ = "="
 DEFAULT_MAX_EXPRESSIONS = factorial(9) * 2 ** 8
 
 
-@dataclass(frozen=True)
-class ChainExpression:
-    sigma: tuple[int, ...]
-    relations: tuple[str, ...]
+class _Value:
+    """Mixin for the named-tuple value types: an object equals only an
+    object of its own type, never a bare tuple of the same fields."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = len(self.sigma)
-        if sorted(self.sigma) != list(range(1, p + 1)):
-            raise DomainError(f"sigma must be a permutation of 1..{p}, got {self.sigma}")
-        if len(self.relations) != p - 1:
-            raise DomainError(
-                f"expected {p - 1} relation symbols, got {len(self.relations)}"
-            )
-        if any(r not in (GEQ, EQ) for r in self.relations):
-            raise DomainError(f"relation symbols must be {GEQ!r} or {EQ!r}")
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @classmethod
-    def _trusted(cls, sigma, relations):
-        """Build without the checks, for a sigma and relations the
-        package's own generator has already made valid."""
-        expr = object.__new__(cls)
-        object.__setattr__(expr, "sigma", sigma)
-        object.__setattr__(expr, "relations", relations)
-        return expr
+    def _make(cls, iterable):
+        """Build through the validating constructor, so `_replace` checks."""
+        return cls(*iterable)
+
+
+class ChainExpression(_Value, namedtuple("ChainExpression", "sigma relations")):
+    __slots__ = ()
+
+    def __new__(cls, sigma: tuple[int, ...], relations: tuple[str, ...]):
+        p = len(sigma)
+        if sorted(sigma) != list(range(1, p + 1)):
+            raise DomainError(f"sigma must be a permutation of 1..{p}, got {sigma}")
+        if len(relations) != p - 1:
+            raise DomainError(f"expected {p - 1} relation symbols, got {len(relations)}")
+        if any(r not in (GEQ, EQ) for r in relations):
+            raise DomainError(f"relation symbols must be {GEQ!r} or {EQ!r}")
+        return tuple.__new__(cls, (sigma, relations))
 
     def text(self) -> str:
         parts = [f"x{self.sigma[0]}"]
@@ -62,32 +72,24 @@ class ChainExpression:
         return "".join(parts)
 
 
-@dataclass(frozen=True)
-class OrderedSetPartition:
-    blocks: tuple[tuple[int, ...], ...]
+class OrderedSetPartition(_Value, namedtuple("OrderedSetPartition", "blocks")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __new__(cls, blocks: tuple[tuple[int, ...], ...]):
+        if not blocks:
             raise DomainError("a face must have at least one block")
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise DomainError("blocks must be nonempty")
             if list(block) != sorted(block):
                 raise DomainError(f"block indices must ascend, got {block}")
-        indices = [i for block in self.blocks for i in block]
+        indices = [i for block in blocks for i in block]
         seen = set(indices)
         if len(seen) != len(indices):
             raise DomainError("blocks must be pairwise disjoint")
         if seen != set(range(1, len(seen) + 1)):
             raise DomainError(f"blocks must cover 1..p exactly, got {sorted(seen)}")
-
-    @classmethod
-    def _trusted(cls, blocks):
-        """Build without the checks, for blocks the package's own
-        generator has already made a valid ordered set partition."""
-        face = object.__new__(cls)
-        object.__setattr__(face, "blocks", blocks)
-        return face
+        return tuple.__new__(cls, (blocks,))
 
     @property
     def ground_size(self) -> int:
@@ -102,16 +104,16 @@ class OrderedSetPartition:
         return GEQ.join("{" + ",".join(str(i) for i in b) + "}" for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class Surjection:
-    map: tuple[int, ...]
+class Surjection(_Value, namedtuple("Surjection", "map")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.map:
+    def __new__(cls, map: tuple[int, ...]):
+        if not map:
             raise DomainError("surjection must have a nonempty domain")
-        k = max(self.map)
-        if min(self.map) < 1 or set(self.map) != set(range(1, k + 1)):
-            raise DomainError(f"map must attain every value in 1..{k}, got {self.map}")
+        k = max(map)
+        if min(map) < 1 or set(map) != set(range(1, k + 1)):
+            raise DomainError(f"map must attain every value in 1..{k}, got {map}")
+        return tuple.__new__(cls, (map,))
 
     @property
     def codomain_size(self) -> int:
@@ -144,9 +146,9 @@ def enumerate_chain_expressions(
         tuple(EQ if i in eq_positions else GEQ for i in range(p - 1))
         for eq_positions in combinations(range(p - 1), l)
     ]
-    trusted = ChainExpression._trusted
+    new = tuple.__new__  # every sigma and relation tuple here is valid
     return (
-        trusted(sigma, relations)
+        new(ChainExpression, (sigma, relations))
         for sigma in permutations(range(1, p + 1))
         for relations in relation_tuples
     )
@@ -207,9 +209,9 @@ def enumerate_facets(
     # building it while the recursive generator is suspended, and no second
     # list of the codimension is held.
     faces = list(_block_sequences(tuple(range(1, p + 1)), p - l))
-    trusted = OrderedSetPartition._trusted
+    new = tuple.__new__  # every block sequence here is a valid face
     for i, blocks in enumerate(faces):
-        faces[i] = trusted(blocks)
+        faces[i] = new(OrderedSetPartition, (blocks,))
     return faces
 
 

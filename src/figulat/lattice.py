@@ -6,10 +6,14 @@ so whether it contains a point depends only on the point's weak order
 type. Both are encoded as relation bit sets on p indices (bit i*p + j set
 iff x_{i+1} >= x_{j+1}), and a face contains a point iff every bit of the
 face is a bit of the point.
+
+Points, like faces, are immutable named tuples equal only to their own
+type. A direct `LatticePoint(...)` call checks its side and range; the
+point generators build with `tuple.__new__` and skip the checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from operator import itemgetter
@@ -17,33 +21,21 @@ from typing import Iterator, Sequence
 
 from .combinatorics import figurate
 from .errors import BudgetExceededError, DomainError
-from .facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, enumerate_facets
+from .facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, _Value, enumerate_facets
 
 # Full-cube scans and per-face enumerations stop at this many points.
 DEFAULT_MAX_POINTS = 10 ** 7
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    coords: tuple[int, ...]
-    side: int
+class LatticePoint(_Value, namedtuple("LatticePoint", "coords side")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side < 1:
-            raise DomainError(f"side must be >= 1, got {self.side}")
-        if self.coords and (min(self.coords) < 0 or max(self.coords) >= self.side):
-            raise DomainError(
-                f"coordinates must lie in [0, {self.side - 1}], got {self.coords}"
-            )
-
-    @classmethod
-    def _trusted(cls, coords, side):
-        """Build without the checks, for a side >= 1 and coordinates the
-        package's own generators have drawn from range(side)."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "coords", coords)
-        object.__setattr__(point, "side", side)
-        return point
+    def __new__(cls, coords: tuple[int, ...], side: int):
+        if side < 1:
+            raise DomainError(f"side must be >= 1, got {side}")
+        if coords and (min(coords) < 0 or max(coords) >= side):
+            raise DomainError(f"coordinates must lie in [0, {side - 1}], got {coords}")
+        return tuple.__new__(cls, (coords, side))
 
     def text(self) -> str:
         return ",".join(str(c) for c in self.coords)
@@ -88,9 +80,9 @@ def enumerate_points(
         for idx in block:
             where[idx - 1] = position
     coords_of = itemgetter(*where) if len(where) > 1 else tuple
-    trusted = LatticePoint._trusted
+    new = tuple.__new__  # coordinates drawn from range(n), n >= 1
     return (
-        trusted(coords_of(values), n)
+        new(LatticePoint, (coords_of(values), n))
         for values in combinations_with_replacement(range(n), k)
     )
 
@@ -110,8 +102,8 @@ def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterato
         raise BudgetExceededError(
             f"cube scan for (p={p}, n={n}) exceeds the point cap", n ** p, max_points
         )
-    trusted = LatticePoint._trusted
-    return (trusted(coords, n) for coords in product(range(n), repeat=p))
+    new = tuple.__new__  # coordinates drawn from range(n), n >= 1
+    return (new(LatticePoint, (coords, n)) for coords in product(range(n), repeat=p))
 
 
 def _weak_order(values: Sequence[int]) -> int:

@@ -4,10 +4,10 @@ n^p = sum_{l=0}^{p-1} (-1)^l c_{p,l} F^{p-l}_n, plus grid sweeps.
 The algebraic route uses closed forms only. The geometric route enumerates
 every face and counts its lattice points one by one. The pointwise route
 checks that every cube point is covered with signed multiplicity 1.
+Reports, their terms and skipped cells are named tuples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .combinatorics import facet_count, figurate
@@ -19,16 +19,14 @@ ROUTES = ("algebraic", "geometric", "pointwise")
 
 
 class LTerm(NamedTuple):
-    """One codimension's contribution to the alternating sum. A named tuple:
-    immutable, and cheap to build once per term."""
+    """One codimension's contribution to the alternating sum."""
     l: int
     facet_count: int
     per_facet_points: int
     signed_term: int
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     p: int
     n: int
     lhs: int
@@ -40,8 +38,7 @@ class VerificationReport:
     first_failure: Optional[tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
-class SkippedCell:
+class SkippedCell(NamedTuple):
     """A sweep cell that could not run within its resource budget."""
     p: int
     n: int

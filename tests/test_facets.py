@@ -1,3 +1,4 @@
+from collections import namedtuple
 from itertools import product
 from math import comb, factorial
 
@@ -19,6 +20,7 @@ from figulat.facets import (
     facet_to_surjection,
     surjection_to_facet,
 )
+from figulat.lattice import LatticePoint
 
 
 def brute_surjections(m, k):
@@ -27,6 +29,40 @@ def brute_surjections(m, k):
         for values in product(range(1, k + 1), repeat=m)
         if set(values) == set(range(1, k + 1))
     ]
+
+
+class TestStrictEquality:
+    @pytest.mark.parametrize("cls, fields", [
+        pytest.param(OrderedSetPartition, (((1, 2), (3,)),), id="face"),
+        pytest.param(ChainExpression, ((2, 1, 3), (EQ, GEQ)), id="expression"),
+        pytest.param(Surjection, ((1, 1, 2),), id="surjection"),
+        pytest.param(LatticePoint, ((1, 0), 2), id="point"),
+    ])
+    def test_value_differs_from_its_bare_tuple(self, cls, fields):
+        value = cls(*fields)
+        assert value == cls(*fields) and not value != cls(*fields)
+        assert tuple(value) == fields
+        assert not value == fields and value != fields
+        assert not fields == value and fields != value
+        lookalike = namedtuple(cls.__name__, cls._fields)(*fields)
+        assert not value == lookalike and value != lookalike
+
+    def test_replace_validates(self):
+        face = OrderedSetPartition(((1, 2), (3,)))
+        assert face._replace(blocks=((1,), (2, 3))) == OrderedSetPartition(((1,), (2, 3)))
+        with pytest.raises(DomainError):
+            face._replace(blocks=((2, 1), (3,)))
+        with pytest.raises(DomainError):
+            LatticePoint((1, 0), 2)._replace(side=1)
+
+    def test_dict_keyed_by_faces_misses_bare_tuples(self):
+        faces = enumerate_facets(4, 1)
+        by_face = dict.fromkeys(faces)
+        by_tuple = dict.fromkeys(tuple(f) for f in faces)
+        for face in faces:
+            assert OrderedSetPartition(face.blocks) in by_face
+            assert tuple(face) not in by_face
+            assert face not in by_tuple
 
 
 class TestChainExpression:
@@ -78,7 +114,8 @@ class TestEnumerateChainExpressions:
                 for e in exprs:
                     assert type(e) is ChainExpression
                     rebuilt = ChainExpression(e.sigma, e.relations)
-                    assert rebuilt == e and hash(rebuilt) == hash(e)
+                    assert rebuilt == e and not rebuilt != e and hash(rebuilt) == hash(e)
+                    assert e != tuple(e)
                 assert len(validated) == len(exprs)
                 validated.clear()
         ChainExpression((1,), ())
@@ -203,7 +240,8 @@ class TestEnumerateFacets:
                 for face in faces:
                     assert type(face) is OrderedSetPartition
                     rebuilt = OrderedSetPartition(face.blocks)
-                    assert rebuilt == face and hash(rebuilt) == hash(face)
+                    assert rebuilt == face and not rebuilt != face and hash(rebuilt) == hash(face)
+                    assert face != tuple(face)
                 assert len(validated) == len(faces)
                 validated.clear()
 
