@@ -55,14 +55,17 @@ def stirling2_inclusion_exclusion(m: int, j: int) -> int:
 
 
 def surjection_count(m: int, j: int) -> int:
-    """Number of surjections from an m-set onto a j-set: j! * S(m, j)."""
+    """Number of surjections from an m-set onto a j-set: j! * S(m, j),
+    read from the face-count row of m."""
     if m < 0 or j < 0:
         raise DomainError(f"surjection_count requires nonnegative arguments, got ({m}, {j})")
-    return factorial(j) * stirling2_recurrence(m, j)
+    if 1 <= j <= m:
+        return facet_count(m, m - j)
+    return 1 if j == m == 0 else 0
 
 
-# (p, row) with row[j - 1] = j! * S(p, j): the face counts of the last p
-# asked for, since sweeps run p-major.
+# (p, row) with row[j - 1] = j! * S(p, j): the face counts, and so the
+# surjection counts, of the last p asked for, since sweeps run p-major.
 _facet_row: tuple[int, list[int]] = (0, [])
 
 

@@ -34,7 +34,12 @@ DEFAULT_MAX_EXPRESSIONS = factorial(9) * 2 ** 8
 
 class _Value:
     """Mixin for the named-tuple value types: an object equals only an
-    object of its own type, never a bare tuple of the same fields."""
+    object of its own type, never a bare tuple of the same fields.
+
+    Two limits remain. A tuple subclass of another type on the left, such
+    as a lookalike named tuple, runs its own tuple comparison first, so
+    `lookalike == value` is True. And `<`, `<=`, `>` and `>=` still compare
+    as tuples, across types."""
     __slots__ = ()
 
     def __eq__(self, other):

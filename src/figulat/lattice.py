@@ -21,7 +21,13 @@ from typing import Iterator, Sequence
 
 from .combinatorics import figurate
 from .errors import BudgetExceededError, DomainError
-from .facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, _Value, enumerate_facets
+from .facets import (
+    DEFAULT_MAX_EXPRESSIONS,
+    OrderedSetPartition,
+    _Value,
+    check_enumeration_budget,
+    enumerate_facets,
+)
 
 # Full-cube scans and per-face enumerations stop at this many points.
 DEFAULT_MAX_POINTS = 10 ** 7
@@ -133,9 +139,12 @@ def _face_relation(facet: OrderedSetPartition, p: int) -> int:
 
 @lru_cache(maxsize=1)
 def _face_index(p: int, max_expressions: int) -> tuple[tuple[int, ...], ...]:
-    """The relation bit set of every face, by codimension. Cached for the
-    last p and expression cap only, since sweeps run p-major; the faces
-    themselves are not kept."""
+    """The relation bit set of every face, by codimension. Every
+    codimension's budget is checked before the first face is built. Cached
+    for the last p and expression cap only, since sweeps run p-major; the
+    faces themselves are not kept."""
+    for l in range(p):
+        check_enumeration_budget(p, l, max_expressions)
     return tuple(
         tuple(_face_relation(f, p) for f in enumerate_facets(p, l, max_expressions))
         for l in range(p)

@@ -74,8 +74,11 @@ def verify_geometric(
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> VerificationReport:
     """Enumerate every face and its lattice points; no closed forms on the
-    right-hand side."""
+    right-hand side. Every codimension's budget is checked before the
+    first face is built."""
     _validate(p, n)
+    for l in range(p):
+        check_enumeration_budget(p, l, max_expressions)
     terms = []
     rhs = 0
     points_enumerated = 0
@@ -104,11 +107,10 @@ def verify_pointwise(
     max_expressions: int = DEFAULT_MAX_EXPRESSIONS,
 ) -> VerificationReport:
     """Check that every cube point has signed cover multiplicity 1. The
-    cube's budget, then every codimension's, is checked before the scan."""
+    cube's budget is checked first; the face index of the first point then
+    checks every codimension's before it builds any face."""
     _validate(p, n)
     points = cube_points(p, n, max_points)
-    for l in range(p):
-        check_enumeration_budget(p, l, max_expressions)
     rhs = 0
     ok = True
     first_failure: Optional[tuple[int, ...]] = None
@@ -156,9 +158,13 @@ def sweep(
                         if route == "algebraic":
                             cell = verify_algebraic(p, n)
                         elif route == "geometric":
-                            cell = verify_geometric(p, n, max_expressions, max_points)
+                            cell = verify_geometric(
+                                p, n, max_expressions=max_expressions, max_points=max_points
+                            )
                         else:
-                            cell = verify_pointwise(p, n, max_points, max_expressions)
+                            cell = verify_pointwise(
+                                p, n, max_expressions=max_expressions, max_points=max_points
+                            )
                     except BudgetExceededError as exc:
                         cell = SkippedCell(p, n, route, str(exc))
                     yield cell

@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
-from figulat import cli
+from figulat import cli, combinatorics, verifier
 from figulat.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv, env=None, monkeypatch=None):
@@ -209,6 +213,25 @@ class TestVerifyCommand:
     def test_usage_error_on_bad_range(self):
         code, _, _ = run(["verify", "--p", "0..2", "--n", "1..2"])
         assert code == 2
+        for bad in ["x", "1..x", "3..1"]:
+            code, out, _ = run(["verify", "--p", bad, "--n", "1..2"])
+            assert (code, out) == (2, "")
+
+    def test_failing_cell_exits_1_even_when_another_is_skipped(self, monkeypatch):
+        real = verifier.figurate
+        monkeypatch.setattr(verifier, "figurate", lambda k, n: real(k, n) + 1)
+        code, out, err = run(["verify", "--p", "2", "--n", "2", "--route", "algebraic",
+                              "--format", "json-lines"])
+        record = json.loads(out)
+        assert (code, err) == (1, "")
+        assert (record["lhs"], record["rhs"], record["ok"]) == (4, 5, False)
+
+        code, out, err = run(["verify", "--p", "3", "--n", "3", "--route", "all",
+                              "--max-points", "8", "--format", "json-lines"])
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 1
+        assert [(r["route"], r["ok"]) for r in records] == [("algebraic", False)]
+        assert err.startswith("skipped p=3 n=3 route=geometric: ")
 
     def test_usage_error_on_bad_flag(self):
         code, _, _ = run(["verify", "--p", "1..2", "--n", "1..2", "--nope"])
@@ -403,6 +426,18 @@ class TestAuditCommand:
         code, out, _ = run(["audit"])
         assert (code, out) == (0, "audit ok\n")
 
+    def test_mismatches_exit_1(self, monkeypatch):
+        real = combinatorics.figurate
+        monkeypatch.setattr(combinatorics, "figurate", lambda k, n: real(k, n) + 1)
+        code, out, err = run(["audit", "--m-max", "2", "--k-max", "2", "--n-max", "2",
+                              "--p-max", "2", "--cover-p-max", "1", "--cover-n-max", "1"])
+        assert code == 1
+        assert out.splitlines() == [
+            f"MISMATCH figurate k={k} n={n}: computed {real(k, n) + 1}, oracle {real(k, n)}"
+            for k in (1, 2) for n in (1, 2)
+        ]
+        assert err == "audit failed: 4 mismatches\n"
+
     def test_reduced_grid_passes(self):
         code, out, _ = run(["audit", "--m-max", "5", "--k-max", "5", "--n-max", "5",
                             "--p-max", "4", "--cover-p-max", "3", "--cover-n-max", "3"])
@@ -419,3 +454,27 @@ class TestAuditCommand:
     def test_bounds_need_positive_integers(self, flag, value):
         code, out, _ = run(["audit", flag, value])
         assert code == 2 and out == ""
+
+
+def readme_cli_examples():
+    """The `figulat ...` lines of the fenced block under README's `## CLI`."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("figulat ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_cli_examples()) >= 5
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_runs(argv):
+    if argv[0] == "audit":
+        # TestAuditCommand.test_default_flags_pass runs the default audit.
+        assert cli.build_parser().parse_args(argv).func is cli.cmd_audit
+        return
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    assert out
+

@@ -105,11 +105,23 @@ class TestSurjectionCount:
 
     def test_onto_larger_set_is_zero(self):
         assert surjection_count(2, 3) == 0
+        for m in range(0, 6):
+            assert surjection_count(m, m + 1) == surjection_count(m, 2 * m + 1) == 0
 
     def test_oracle_grid(self):
         for m in range(1, 7):
             for j in range(1, m + 1):
                 assert surjection_count(m, j) == count_surjections(m, j)
+
+    def test_empty_domain_or_codomain(self):
+        assert surjection_count(0, 0) == 1
+        for m in range(1, 6):
+            assert surjection_count(m, 0) == surjection_count(0, m) == 0
+
+    def test_rejects_negative_arguments(self):
+        for m, j in [(-1, 0), (0, -1), (3, -2)]:
+            with pytest.raises(DomainError):
+                surjection_count(m, j)
 
 
 class TestFacetCount:

@@ -331,6 +331,19 @@ class TestFaceRelationIndex:
         assert verify_pointwise(6, 2).ok is True
         assert len(live_faces()) <= before
 
+    def test_every_expression_cap_is_checked_before_any_face(self, monkeypatch):
+        # p=5 needs 120, 480 and 720 expressions for l = 0, 1, 2.
+        def refuse(*args):
+            raise AssertionError("enumerate_facets was called")
+        monkeypatch.setattr(lattice, "enumerate_facets", refuse)
+        lattice._face_index.cache_clear()
+        try:
+            with pytest.raises(BudgetExceededError,
+                               match=r"\(p=5, l=2\).*needs 720, budget is 500"):
+                point_multiplicity(pt((0,) * 5, 1), 5, 500)
+        finally:
+            lattice._face_index.cache_clear()
+
     def test_face_index_receives_the_pointwise_expression_cap(self, monkeypatch):
         caps = []
         real = lattice.enumerate_facets

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from figulat import verifier
 from figulat.combinatorics import rhs_identity, stirling2_inclusion_exclusion
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.lattice import DEFAULT_MAX_POINTS
@@ -83,6 +84,14 @@ class TestGeometricRoute:
         for p in range(1, 4):
             for n in range(2, 4):
                 assert verify_geometric(p, n).points_enumerated > 0
+
+    def test_every_expression_cap_is_checked_before_any_face(self, monkeypatch):
+        # p=5 needs 120, 480 and 720 expressions for l = 0, 1, 2.
+        def refuse(*args):
+            raise AssertionError("enumerate_facets was called")
+        monkeypatch.setattr(verifier, "enumerate_facets", refuse)
+        with pytest.raises(BudgetExceededError, match=r"\(p=5, l=2\).*needs 720, budget is 500"):
+            verify_geometric(5, 1, max_expressions=500)
 
 
 class TestPointwiseRoute:
