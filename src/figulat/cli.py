@@ -15,6 +15,7 @@ from . import combinatorics
 from .errors import BudgetExceededError, DomainError
 from .facets import (
     DEFAULT_MAX_EXPRESSIONS,
+    check_every_codimension,
     enumerate_facets,
     facet_to_surjection,
 )
@@ -157,7 +158,11 @@ def cmd_facets(args, out, err) -> int:
 
 def _audit_pairings(args):
     """Yield (name, computed, expected) triples for every closed-form-vs-
-    oracle pairing."""
+    oracle pairing. The face counts and the signed cover build every face
+    of each p up to the larger of their bounds, at the default cap; each
+    codimension's expressions grow with p, so checking that p once refuses
+    before the first pairing."""
+    check_every_codimension(max(args.p_max, args.cover_p_max), DEFAULT_MAX_EXPRESSIONS)
     from . import oracles
     for m in range(0, args.m_max + 1):
         for j in range(1, max(m, 1) + 1):

@@ -125,7 +125,7 @@ class Surjection(_Value, namedtuple("Surjection", "map")):
         return max(self.map)
 
 
-def check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
+def _check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
     """Raise unless the p! * C(p-1, l) chain expressions fit the cap."""
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
@@ -139,12 +139,20 @@ def check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
         )
 
 
+def check_every_codimension(p: int, max_expressions: int) -> None:
+    """Raise unless every codimension l = 0..p-1 fits the expression cap,
+    checked in order of l. Callers that build the faces of the whole
+    identity call this before they build the first face."""
+    for l in range(p):
+        _check_enumeration_budget(p, l, max_expressions)
+
+
 def enumerate_chain_expressions(
     p: int, l: int, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
 ) -> Iterator[ChainExpression]:
     """Yield all p! * C(p-1, l) chain expressions with exactly l equality
     symbols, in lexicographic order by (sigma, relations)."""
-    check_enumeration_budget(p, l, max_expressions)
+    _check_enumeration_budget(p, l, max_expressions)
     # "=" sorts before ">=", so combinations of EQ positions in
     # lexicographic order give relation tuples in lexicographic order
     relation_tuples = [
@@ -209,7 +217,7 @@ def enumerate_facets(
 ) -> list[OrderedSetPartition]:
     """All distinct codimension-l faces, generated in lexicographic order of
     block sequence."""
-    check_enumeration_budget(p, l, max_expressions)
+    _check_enumeration_budget(p, l, max_expressions)
     # Each face replaces its block sequence in a finished list: faster than
     # building it while the recursive generator is suspended, and no second
     # list of the codimension is held.

@@ -25,7 +25,7 @@ from .facets import (
     DEFAULT_MAX_EXPRESSIONS,
     OrderedSetPartition,
     _Value,
-    check_enumeration_budget,
+    check_every_codimension,
     enumerate_facets,
 )
 
@@ -143,8 +143,7 @@ def _face_index(p: int, max_expressions: int) -> tuple[tuple[int, ...], ...]:
     codimension's budget is checked before the first face is built. Cached
     for the last p and expression cap only, since sweeps run p-major; the
     faces themselves are not kept."""
-    for l in range(p):
-        check_enumeration_budget(p, l, max_expressions)
+    check_every_codimension(p, max_expressions)
     return tuple(
         tuple(_face_relation(f, p) for f in enumerate_facets(p, l, max_expressions))
         for l in range(p)

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .combinatorics import facet_count, figurate
 from .errors import BudgetExceededError, DomainError
-from .facets import DEFAULT_MAX_EXPRESSIONS, check_enumeration_budget, enumerate_facets
+from .facets import DEFAULT_MAX_EXPRESSIONS, check_every_codimension, enumerate_facets
 from .lattice import DEFAULT_MAX_POINTS, cube_points, enumerate_points, point_multiplicity
 
 ROUTES = ("algebraic", "geometric", "pointwise")
@@ -77,8 +77,7 @@ def verify_geometric(
     right-hand side. Every codimension's budget is checked before the
     first face is built."""
     _validate(p, n)
-    for l in range(p):
-        check_enumeration_budget(p, l, max_expressions)
+    check_every_codimension(p, max_expressions)
     terms = []
     rhs = 0
     points_enumerated = 0
@@ -112,7 +111,6 @@ def verify_pointwise(
     _validate(p, n)
     points = cube_points(p, n, max_points)
     rhs = 0
-    ok = True
     first_failure: Optional[tuple[int, ...]] = None
     points_enumerated = 0
     for point in points:
@@ -120,11 +118,10 @@ def verify_pointwise(
         multiplicity = point_multiplicity(point, p, max_expressions)
         rhs += multiplicity
         if multiplicity != 1 and first_failure is None:
-            ok = False
             first_failure = point.coords
     lhs = n ** p
     return VerificationReport(
-        p, n, lhs, "pointwise", rhs, (), ok and lhs == rhs,
+        p, n, lhs, "pointwise", rhs, (), first_failure is None and lhs == rhs,
         points_enumerated=points_enumerated, first_failure=first_failure,
     )
 

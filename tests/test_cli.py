@@ -244,6 +244,12 @@ class TestVerifyCommand:
         ])
         assert code == 3
         assert "skipped" in err
+        # With every cell skipped, csv writes no header either.
+        code, out, _ = run([
+            "verify", "--p", "3", "--n", "3",
+            "--route", "pointwise", "--max-points", "8", "--format", "csv",
+        ])
+        assert (code, out) == (3, "")
 
     def test_env_var_budget_override(self, monkeypatch):
         monkeypatch.setenv("FIGULAT_MAX_POINTS", "8")
@@ -420,6 +426,10 @@ class TestFacetsCommand:
         code, _, _ = run(["facets", "--p", "3", "--l", "5"])
         assert code == 2
 
+    def test_bad_dimension_is_usage_error(self):
+        assert run(["facets", "--p", "0", "--l", "0"]) == (
+            2, "", "error: dimension must be >= 1, got p=0\n")
+
 
 class TestAuditCommand:
     def test_default_flags_pass(self):
@@ -447,6 +457,24 @@ class TestAuditCommand:
     def test_malformed_flag(self):
         code, _, _ = run(["audit", "--m-max", "not-a-number"])
         assert code == 2
+
+    @pytest.mark.parametrize("bound,builder", [
+        ("--p-max", "enumerate_facets"),
+        ("--cover-p-max", "point_multiplicity"),
+    ])
+    def test_face_checks_over_the_cap_are_refused_before_the_first(
+            self, monkeypatch, bound, builder):
+        # At p=10, l=0 and l=1 fit the default cap and l=2 does not.
+        def refuse(*args):
+            raise AssertionError(f"{builder} was called")
+        monkeypatch.setattr(cli, builder, refuse)
+        argv = ["audit"]
+        for flag in ("--m-max", "--k-max", "--n-max", "--p-max", "--cover-p-max",
+                     "--cover-n-max"):
+            argv += [flag, "10" if flag == bound else "1"]
+        code, out, err = run(argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("budget exceeded: chain-expression enumeration for (p=10, l=2)")
 
     @pytest.mark.parametrize("flag", ["--m-max", "--k-max", "--n-max", "--p-max",
                                       "--cover-p-max", "--cover-n-max"])

@@ -89,6 +89,15 @@ class TestStirling:
         with pytest.raises(DomainError):
             stirling2_inclusion_exclusion(3, 0)
 
+    @pytest.mark.parametrize("route,m,j", [
+        (stirling2_recurrence, -1, 0),
+        (stirling2_recurrence, 0, -1),
+        (stirling2_inclusion_exclusion, -1, 1),
+    ])
+    def test_rejects_negative_arguments(self, route, m, j):
+        with pytest.raises(DomainError):
+            route(m, j)
+
     def test_row_sums_are_bell_numbers(self):
         for m in range(1, 9):
             bell = sum(count_partitions_into(m, j) for j in range(1, m + 1))
@@ -167,6 +176,10 @@ class TestStirlingIdentity:
     @given(st.integers(1, 12), st.integers(-10, 10))
     def test_equals_power(self, p, x):
         assert stirling_identity_eval(p, x) == x ** p
+
+    def test_rejects_exponent_zero(self):
+        with pytest.raises(DomainError):
+            stirling_identity_eval(0, 2)
 
 
 class TestRhsIdentity:

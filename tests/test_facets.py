@@ -14,6 +14,7 @@ from figulat.facets import (
     Surjection,
     _block_sequences,
     canonicalize,
+    check_every_codimension,
     enumerate_chain_expressions,
     enumerate_facets,
     facet_multiplicities,
@@ -73,6 +74,10 @@ class TestChainExpression:
     def test_validates_relation_count(self):
         with pytest.raises(DomainError):
             ChainExpression((1, 2), ())
+
+    def test_validates_relation_symbols(self):
+        with pytest.raises(DomainError):
+            ChainExpression((1, 2), ("<",))
 
     def test_text(self):
         e = ChainExpression((2, 1, 3), (EQ, GEQ))
@@ -252,6 +257,16 @@ class TestEnumerateFacets:
         assert len(enumerate_facets(6, 2, max_expressions=required)) == facet_count(6, 2)
 
 
+class TestCheckEveryCodimension:
+    def test_reports_the_first_codimension_over_the_cap(self):
+        # p=5 needs 120, 480, 720, 480 and 120 expressions for l = 0..4.
+        with pytest.raises(BudgetExceededError, match=r"\(p=5, l=0\).*needs 120, budget is 119"):
+            check_every_codimension(5, 119)
+        with pytest.raises(BudgetExceededError, match=r"\(p=5, l=2\).*needs 720, budget is 719"):
+            check_every_codimension(5, 719)
+        check_every_codimension(5, 720)
+
+
 class TestSurjectionBijection:
     def test_facet_to_surjection_examples(self):
         assert facet_to_surjection(OrderedSetPartition(((1, 2), (3,)))).map == (1, 1, 2)
@@ -266,6 +281,8 @@ class TestSurjectionBijection:
     def test_surjection_validates(self):
         with pytest.raises(DomainError):
             Surjection((1, 3))  # skips 2
+        with pytest.raises(DomainError):
+            Surjection(())
 
     def test_round_trip_both_ways(self):
         for p in range(1, 6):

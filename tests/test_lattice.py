@@ -158,6 +158,10 @@ class TestEnumeratePoints:
         with pytest.raises(BudgetExceededError):
             enumerate_points(f, 100, max_points=10)
 
+    def test_rejects_side_zero(self):
+        with pytest.raises(DomainError):
+            enumerate_points(OrderedSetPartition(((1,),)), 0)
+
 
 class TestCountLatticePoints:
     def test_examples(self):
@@ -179,6 +183,10 @@ class TestCountLatticePoints:
             counts = {count_lattice_points(f, 3) for f in enumerate_facets(4, l)}
             assert len(counts) == 1
 
+    def test_rejects_side_zero(self):
+        with pytest.raises(DomainError):
+            count_lattice_points(OrderedSetPartition(((1,),)), 0)
+
 
 class TestCubePoints:
     def test_lexicographic_and_complete(self):
@@ -191,6 +199,11 @@ class TestCubePoints:
 
     def test_is_a_generator(self):
         assert inspect.isgenerator(cube_points(2, 2))
+
+    @pytest.mark.parametrize("p,n", [(0, 1), (1, 0)])
+    def test_rejects_dimension_or_side_zero(self, p, n):
+        with pytest.raises(DomainError):
+            cube_points(p, n)
 
     def test_generated_points_skip_validation_and_pass_it(self, count_validations):
         validated = count_validations(LatticePoint)

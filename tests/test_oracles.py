@@ -32,6 +32,10 @@ class TestOracleSurjections:
         with pytest.raises(BudgetExceededError):
             oracle_surjections(30, 10)
 
+    def test_rejects_zero(self):
+        with pytest.raises(DomainError):
+            oracle_surjections(0, 1)
+
 
 class TestOracleSetPartitions:
     def test_bell_numbers(self):
@@ -53,6 +57,10 @@ class TestOracleSetPartitions:
         with pytest.raises(BudgetExceededError):
             oracle_set_partitions(11)
 
+    def test_rejects_negative_size(self):
+        with pytest.raises(DomainError):
+            oracle_set_partitions(-1)
+
 
 class TestOracleWeaklyDecreasing:
     def test_examples(self):
@@ -63,6 +71,10 @@ class TestOracleWeaklyDecreasing:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             oracle_weakly_decreasing_tuples(0, 3)
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceededError, match="needs 27, budget is 26"):
+            oracle_weakly_decreasing_tuples(3, 3, max_points=26)
 
 
 class TestOracleSignedCover:

@@ -1,5 +1,5 @@
-"""The package's export list and its namespace agree, and importing the
-CLI loads nothing that only one command uses."""
+"""The package root exports nothing, and importing a module loads only
+the modules it needs."""
 import inspect
 import os
 import subprocess
@@ -9,34 +9,39 @@ from pathlib import Path
 import figulat
 
 
-def test_every_exported_name_resolves():
-    assert len(figulat.__all__) == len(set(figulat.__all__))
-    missing = [name for name in figulat.__all__ if not hasattr(figulat, name)]
-    assert missing == []
-
-
-def test_every_public_class_or_function_is_exported():
-    bound = {
-        name
-        for name, value in vars(figulat).items()
-        if not name.startswith("_") and not inspect.ismodule(value) and callable(value)
-    }
-    assert bound - set(figulat.__all__) == set()
-
-
-def test_cli_import_loads_no_command_specific_modules():
-    """Measured against a bare interpreter, so that modules the
-    environment's `site` preloads do not count."""
+def modules_loaded_by(statement):
+    """The modules that `statement` adds to a bare interpreter, so that
+    modules the environment's `site` preloads do not count."""
     src = str(Path(figulat.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = (
-        "import sys; bare = set(sys.modules); import figulat.cli; "
+        f"import sys; bare = set(sys.modules); {statement}; "
         "print(*sorted(set(sys.modules) - bare))"
     )
-    added = set(subprocess.run(
+    return set(subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     ).stdout.split())
+
+
+def test_package_root_binds_no_public_function_or_class():
+    assert not hasattr(figulat, "__all__")
+    bound = [
+        name
+        for name, value in vars(figulat).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    ]
+    assert bound == []
+
+
+def test_combinatorics_import_loads_no_face_or_route_modules():
+    added = modules_loaded_by("import figulat.combinatorics")
+    assert "figulat.combinatorics" in added
+    assert added & {"figulat.facets", "figulat.lattice", "figulat.verifier"} == set()
+
+
+def test_cli_import_loads_no_command_specific_modules():
+    added = modules_loaded_by("import figulat.cli")
     assert "figulat.cli" in added
     assert added & {"dataclasses", "inspect", "json", "csv", "figulat.oracles"} == set()
