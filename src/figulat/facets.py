@@ -13,13 +13,14 @@ expression cap bounds the p! * C(p-1, l) expressions that describe the
 codimension-l faces; it is checked before any face is built.
 
 Faces, chain expressions and surjections are immutable named tuples, each
-equal only to its own type. A direct call checks its arguments; the
-package's generators build with `tuple.__new__`, which skips the checks.
+equal only to its own type. A direct call checks its arguments, integer
+entries included, and stores each sequence as a tuple; the package's
+generators build with `tuple.__new__`, which skips the checks.
 """
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial
 from typing import Iterator
 
@@ -56,10 +57,19 @@ class _Value:
         return cls(*iterable)
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple; DomainError unless every one is an integer."""
+    values = tuple(values)
+    if not all(map(isinstance, values, repeat(int))):
+        raise DomainError(f"{what} must be integers, got {values}")
+    return values
+
+
 class ChainExpression(_Value, namedtuple("ChainExpression", "sigma relations")):
     __slots__ = ()
 
     def __new__(cls, sigma: tuple[int, ...], relations: tuple[str, ...]):
+        sigma, relations = _integers(sigma, "sigma entries"), tuple(relations)
         p = len(sigma)
         if sorted(sigma) != list(range(1, p + 1)):
             raise DomainError(f"sigma must be a permutation of 1..{p}, got {sigma}")
@@ -81,6 +91,8 @@ class OrderedSetPartition(_Value, namedtuple("OrderedSetPartition", "blocks")):
     __slots__ = ()
 
     def __new__(cls, blocks: tuple[tuple[int, ...], ...]):
+        blocks = tuple(map(tuple, blocks))
+        indices = _integers(chain.from_iterable(blocks), "block indices")
         if not blocks:
             raise DomainError("a face must have at least one block")
         for block in blocks:
@@ -88,7 +100,6 @@ class OrderedSetPartition(_Value, namedtuple("OrderedSetPartition", "blocks")):
                 raise DomainError("blocks must be nonempty")
             if list(block) != sorted(block):
                 raise DomainError(f"block indices must ascend, got {block}")
-        indices = [i for block in blocks for i in block]
         seen = set(indices)
         if len(seen) != len(indices):
             raise DomainError("blocks must be pairwise disjoint")
@@ -98,7 +109,7 @@ class OrderedSetPartition(_Value, namedtuple("OrderedSetPartition", "blocks")):
 
     @property
     def ground_size(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return sum(map(len, self.blocks))
 
     @property
     def num_blocks(self) -> int:
@@ -113,6 +124,7 @@ class Surjection(_Value, namedtuple("Surjection", "map")):
     __slots__ = ()
 
     def __new__(cls, map: tuple[int, ...]):
+        map = _integers(map, "surjection values")
         if not map:
             raise DomainError("surjection must have a nonempty domain")
         k = max(map)
@@ -192,24 +204,38 @@ def facet_multiplicities(
     return dict(counts)
 
 
-def _block_sequences(
-    left: tuple[int, ...], k: int, prefix: tuple[tuple[int, ...], ...] = ()
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """`prefix` followed by every sequence of k nonempty ascending blocks
-    partitioning `left`, in lexicographic order: the first blocks are taken
-    in sorted order. Passing the prefix down builds each sequence once, at
-    the leaf, instead of once per level."""
+def _block_sequences(left: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every sequence of k nonempty ascending blocks partitioning `left`, in
+    lexicographic order: the first blocks are taken in sorted order.
+
+    The sorted (first block, rest) splits of each (indices left, blocks
+    left) are built once per call, so every sequence reuses the same block
+    tuples instead of building its own; the last two blocks of a sequence
+    are one such split."""
     if k == 1:
-        yield prefix + (left,)
-        return
-    firsts = sorted(
-        first
-        for size in range(1, len(left) - k + 2)
-        for first in combinations(left, size)
-    )
-    for first in firsts:
-        rest = tuple(i for i in left if i not in first)
-        yield from _block_sequences(rest, k - 1, prefix + (first,))
+        return [(left,)]
+    splits: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], ...]]] = {}
+    sequences: list[tuple[tuple[int, ...], ...]] = []
+    # Depth first, each node's children pushed in reverse, so sequences
+    # come out in order.
+    stack = [(left, k, ())]
+    while stack:
+        left, k, prefix = stack.pop()
+        pairs = splits.get((left, k))
+        if pairs is None:
+            pairs = splits[left, k] = [
+                (first, tuple(i for i in left if i not in first))
+                for first in sorted(
+                    first
+                    for size in range(1, len(left) - k + 2)
+                    for first in combinations(left, size)
+                )
+            ]
+        if k == 2:
+            sequences.extend(map(prefix.__add__, pairs))
+        else:
+            stack.extend((rest, k - 1, prefix + (first,)) for first, rest in reversed(pairs))
+    return sequences
 
 
 def enumerate_facets(
@@ -218,10 +244,9 @@ def enumerate_facets(
     """All distinct codimension-l faces, generated in lexicographic order of
     block sequence."""
     _check_enumeration_budget(p, l, max_expressions)
-    # Each face replaces its block sequence in a finished list: faster than
-    # building it while the recursive generator is suspended, and no second
-    # list of the codimension is held.
-    faces = list(_block_sequences(tuple(range(1, p + 1)), p - l))
+    # Each face replaces its block sequence in place, so no second list of
+    # the codimension is held.
+    faces = _block_sequences(tuple(range(1, p + 1)), p - l)
     new = tuple.__new__  # every block sequence here is a valid face
     for i, blocks in enumerate(faces):
         faces[i] = new(OrderedSetPartition, (blocks,))

@@ -8,14 +8,15 @@ iff x_{i+1} >= x_{j+1}), and a face contains a point iff every bit of the
 face is a bit of the point.
 
 Points, like faces, are immutable named tuples equal only to their own
-type. A direct `LatticePoint(...)` call checks its side and range; the
-point generators build with `tuple.__new__` and skip the checks.
+type. A direct `LatticePoint(...)` call checks that its side and
+coordinates are integers in range and stores the coordinates as a tuple;
+the point generators build with `tuple.__new__` and skip the checks.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -25,6 +26,7 @@ from .facets import (
     DEFAULT_MAX_EXPRESSIONS,
     OrderedSetPartition,
     _Value,
+    _integers,
     check_every_codimension,
     enumerate_facets,
 )
@@ -37,6 +39,9 @@ class LatticePoint(_Value, namedtuple("LatticePoint", "coords side")):
     __slots__ = ()
 
     def __new__(cls, coords: tuple[int, ...], side: int):
+        coords = _integers(coords, "coordinates")
+        if not isinstance(side, int):
+            raise DomainError(f"side must be an integer, got {side!r}")
         if side < 1:
             raise DomainError(f"side must be >= 1, got {side}")
         if coords and (min(coords) < 0 or max(coords) >= side):
@@ -86,11 +91,10 @@ def enumerate_points(
         for idx in block:
             where[idx - 1] = position
     coords_of = itemgetter(*where) if len(where) > 1 else tuple
-    new = tuple.__new__  # coordinates drawn from range(n), n >= 1
-    return (
-        new(LatticePoint, (coords_of(values), n))
-        for values in combinations_with_replacement(range(n), k)
-    )
+    # Built in C, with no Python frame per point. Coordinates are drawn
+    # from range(n), n >= 1, so tuple.__new__ may skip the checks.
+    coords = map(coords_of, combinations_with_replacement(range(n), k))
+    return map(tuple.__new__, repeat(LatticePoint), zip(coords, repeat(n)))
 
 
 def count_lattice_points(facet: OrderedSetPartition, n: int) -> int:

@@ -8,6 +8,8 @@ Reports, their terms and skipped cells are named tuples.
 """
 from __future__ import annotations
 
+from collections import deque
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .combinatorics import facet_count, figurate
@@ -51,6 +53,12 @@ def _validate(p: int, n: int) -> None:
         raise DomainError(f"verification requires p >= 1 and n >= 1, got (p={p}, n={n})")
 
 
+def _count(items: Iterable) -> int:
+    """How many items there are, counted without a Python frame per item."""
+    last = deque(enumerate(items, 1), maxlen=1)
+    return last[0][0] if last else 0
+
+
 def verify_algebraic(p: int, n: int) -> VerificationReport:
     """Evaluate both sides in closed form."""
     _validate(p, n)
@@ -83,15 +91,16 @@ def verify_geometric(
     points_enumerated = 0
     for l in range(p):
         faces = enumerate_facets(p, l, max_expressions)
-        counts = (
-            sum(1 for _ in enumerate_points(f, n, max_points)) for f in faces
-        )
-        first = next(counts)
-        total = first + sum(counts)
+        points = map(enumerate_points, faces, repeat(n), repeat(max_points))
+        first = _count(next(points))
+        total = first + _count(chain.from_iterable(points))
         points_enumerated += total
         signed = (-1) ** l * total
         rhs += signed
         terms.append(LTerm(l, len(faces), first, signed))
+        # Dropped before the next codimension's faces are built, so one
+        # codimension's faces are alive at a time.
+        del faces
     lhs = n ** p
     return VerificationReport(
         p, n, lhs, "geometric", rhs, tuple(terms), lhs == rhs,

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 
@@ -19,3 +21,20 @@ def count_validations(monkeypatch):
         monkeypatch.setattr(cls, "__new__", staticmethod(counted))
         return validated
     return count
+
+
+@pytest.fixture
+def live_objects():
+    """`live_objects(cls)` lists the objects of type `cls` that the garbage
+    collector tracks after a full collection. A count of faces means
+    something only if the collector sees faces, so the fixture first checks
+    that it finds one the test holds."""
+    from figulat.facets import OrderedSetPartition
+
+    def live(cls):
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, cls)]
+
+    held = OrderedSetPartition(((1,),))
+    assert any(o is held for o in live(OrderedSetPartition))
+    return live

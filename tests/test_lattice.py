@@ -1,4 +1,3 @@
-import gc
 import inspect
 import sys
 from collections import Counter, defaultdict
@@ -58,6 +57,10 @@ class TestLatticePoint:
     def test_rejects_side_zero(self):
         with pytest.raises(DomainError):
             pt((), 0)
+
+    def test_rejects_a_side_that_is_not_an_integer(self):
+        with pytest.raises(DomainError, match="integer"):
+            LatticePoint((0,), 1.5)
 
     def test_accepts_both_ends_of_the_range(self):
         assert pt((0, 4, 2), 5).coords == (0, 4, 2)
@@ -329,20 +332,12 @@ class TestFaceRelationIndex:
         finally:
             lattice._face_index.cache_clear()
 
-    def test_pointwise_cell_keeps_no_face_objects(self):
-        def live_faces():
-            gc.collect()
-            return [o for o in gc.get_objects() if isinstance(o, OrderedSetPartition)]
-
-        # The count below means something only if the collector sees faces.
-        held = OrderedSetPartition(((1,),))
-        assert any(o is held for o in live_faces())
-        del held
+    def test_pointwise_cell_keeps_no_face_objects(self, live_objects):
         # A p=1 cell first, so no cache still holds faces of a larger p.
         assert verify_pointwise(1, 1).ok is True
-        before = len(live_faces())
+        before = len(live_objects(OrderedSetPartition))
         assert verify_pointwise(6, 2).ok is True
-        assert len(live_faces()) <= before
+        assert len(live_objects(OrderedSetPartition)) <= before
 
     def test_every_expression_cap_is_checked_before_any_face(self, monkeypatch):
         # p=5 needs 120, 480 and 720 expressions for l = 0, 1, 2.

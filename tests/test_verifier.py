@@ -6,6 +6,7 @@ import pytest
 from figulat import verifier
 from figulat.combinatorics import rhs_identity, stirling2_inclusion_exclusion
 from figulat.errors import BudgetExceededError, DomainError
+from figulat.facets import OrderedSetPartition
 from figulat.lattice import DEFAULT_MAX_POINTS
 from figulat.verifier import (
     SkippedCell,
@@ -92,6 +93,21 @@ class TestGeometricRoute:
         monkeypatch.setattr(verifier, "enumerate_facets", refuse)
         with pytest.raises(BudgetExceededError, match=r"\(p=5, l=2\).*needs 720, budget is 500"):
             verify_geometric(5, 1, max_expressions=500)
+
+    def test_each_codimension_is_built_with_no_earlier_face_alive(
+        self, monkeypatch, live_objects
+    ):
+        real = verifier.enumerate_facets
+        before = len(live_objects(OrderedSetPartition))
+        alive = []
+
+        def spy(p, l, max_expressions):
+            alive.append(len(live_objects(OrderedSetPartition)) - before)
+            return real(p, l, max_expressions)
+
+        monkeypatch.setattr(verifier, "enumerate_facets", spy)
+        assert verify_geometric(6, 2).ok is True
+        assert alive == [0] * 6
 
 
 class TestPointwiseRoute:
