@@ -58,9 +58,9 @@ class _Value:
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple; DomainError unless every one is an integer."""
+    """The values as a tuple; DomainError unless each is an int, not a bool."""
     values = tuple(values)
-    if not all(map(isinstance, values, repeat(int))):
+    if not all(map(isinstance, values, repeat(int))) or bool in map(type, values):
         raise DomainError(f"{what} must be integers, got {values}")
     return values
 

@@ -3,9 +3,10 @@ enumeration, and the signed cover multiplicity of a point.
 
 A face is the set {x : x_i >= x_j for every relation its chain forces},
 so whether it contains a point depends only on the point's weak order
-type. Both are encoded as relation bit sets on p indices (bit i*p + j set
-iff x_{i+1} >= x_{j+1}), and a face contains a point iff every bit of the
-face is a bit of the point.
+type. One function encodes both as relation bit sets on p indices (bit
+i*p + j set iff x_{i+1} >= x_{j+1}), from their levels, lowest first: a
+face's blocks read from the last, a point's indices grouped by value. A
+face contains a point iff every bit of the face is a bit of the point.
 
 Points, like faces, are immutable named tuples equal only to their own
 type. A direct `LatticePoint(...)` call checks that its side and
@@ -18,7 +19,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement, product, repeat
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import figurate
 from .errors import BudgetExceededError, DomainError
@@ -40,7 +41,7 @@ class LatticePoint(_Value, namedtuple("LatticePoint", "coords side")):
 
     def __new__(cls, coords: tuple[int, ...], side: int):
         coords = _integers(coords, "coordinates")
-        if not isinstance(side, int):
+        if isinstance(side, bool) or not isinstance(side, int):
             raise DomainError(f"side must be an integer, got {side!r}")
         if side < 1:
             raise DomainError(f"side must be >= 1, got {side}")
@@ -116,29 +117,25 @@ def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterato
     return (new(LatticePoint, (coords, n)) for coords in product(range(n), repeat=p))
 
 
+def _relation(levels: Iterable[Sequence[int]], p: int) -> int:
+    """The relation bit set of indices 1..p grouped into levels, lowest
+    first: bit i*p + j is set iff index i+1 sits in the level of j+1 or a
+    higher one."""
+    bits = 0
+    at_or_below = 0  # indices in this level or a lower one
+    for level in levels:
+        for idx in level:
+            at_or_below |= 1 << (idx - 1)
+        for idx in level:
+            bits |= at_or_below << ((idx - 1) * p)
+    return bits
+
+
 def _weak_order(values: Sequence[int]) -> int:
     """The weak order of the values: bit i*p + j is set iff
-    values[i] >= values[j]."""
-    p = len(values)
-    return sum(
-        1 << (i * p + j)
-        for i, a in enumerate(values)
-        for j, b in enumerate(values)
-        if a >= b
-    )
-
-
-def _face_relation(facet: OrderedSetPartition, p: int) -> int:
-    """The relations the face forces: bit i*p + j is set iff index i+1 sits
-    in the same block as j+1 or an earlier one."""
-    bits = 0
-    at_or_after = 0  # indices in this block or a later one
-    for block in reversed(facet.blocks):
-        for idx in block:
-            at_or_after |= 1 << (idx - 1)
-        for idx in block:
-            bits |= at_or_after << ((idx - 1) * p)
-    return bits
+    values[i] >= values[j]. Its levels are the indices grouped by value."""
+    levels = ([i for i, v in enumerate(values, 1) if v == w] for w in sorted(set(values)))
+    return _relation(levels, len(values))
 
 
 @lru_cache(maxsize=1)
@@ -149,7 +146,7 @@ def _face_index(p: int, max_expressions: int) -> tuple[tuple[int, ...], ...]:
     faces themselves are not kept."""
     check_every_codimension(p, max_expressions)
     return tuple(
-        tuple(_face_relation(f, p) for f in enumerate_facets(p, l, max_expressions))
+        tuple(_relation(reversed(f.blocks), p) for f in enumerate_facets(p, l, max_expressions))
         for l in range(p)
     )
 

@@ -1,6 +1,14 @@
 import gc
 
 import pytest
+from hypothesis import settings
+
+# Every property draws the same examples on every run, and no example
+# database is written, so the suite is reproducible.
+settings.register_profile(
+    "tier1", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -55,6 +55,13 @@ class TestStrictEquality:
                      ((2.0, 1), (GEQ,)), id="expression"),
         pytest.param(Surjection, ([1, 2, 1],), ((1, 2, 1),), ((1.0, 2),), id="surjection"),
         pytest.param(LatticePoint, ([1, 0], 2), ((1, 0), 2), ((0.5, 0), 2), id="point"),
+        pytest.param(OrderedSetPartition, ([[1], [2]],), (((1,), (2,)),),
+                     (((True,), (2,)),), id="face-bool"),
+        pytest.param(ChainExpression, ([2, 1], [GEQ]), ((2, 1), (GEQ,)),
+                     ((2, True), (GEQ,)), id="expression-bool"),
+        pytest.param(Surjection, ([1, 2, 1],), ((1, 2, 1),), ((True, 2),), id="surjection-bool"),
+        pytest.param(LatticePoint, ([1, 0], 2), ((1, 0), 2), ((True, False), 2),
+                     id="point-bool"),
     ])
     def test_stores_tuples_and_rejects_non_integers(self, cls, lists, tuples, non_integer):
         value = cls(*lists)

@@ -59,8 +59,9 @@ class TestLatticePoint:
             pt((), 0)
 
     def test_rejects_a_side_that_is_not_an_integer(self):
-        with pytest.raises(DomainError, match="integer"):
-            LatticePoint((0,), 1.5)
+        for side in (1.5, True, False):
+            with pytest.raises(DomainError, match="integer"):
+                LatticePoint((0,), side)
 
     def test_accepts_both_ends_of_the_range(self):
         assert pt((0, 4, 2), 5).coords == (0, 4, 2)

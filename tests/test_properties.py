@@ -1,0 +1,217 @@
+"""Properties of the value types and the lattice layer on drawn inputs.
+
+The exhaustive tests stop at p <= 5-7; these draw faces of {1..p} for
+p <= 12 and points of the cube [0, n-1]^p. Each validated constructor is
+compared with a predicate written here, independent of the package.
+"""
+import pytest
+from hypothesis import given, strategies as st
+
+from figulat.combinatorics import figurate
+from figulat.errors import DomainError
+from figulat.facets import (
+    EQ,
+    GEQ,
+    ChainExpression,
+    OrderedSetPartition,
+    Surjection,
+    facet_to_surjection,
+    surjection_to_facet,
+)
+from figulat.lattice import LatticePoint, _relation, _weak_order, enumerate_points, facet_contains
+
+MAX_P = 12
+
+
+@st.composite
+def faces(draw):
+    """An ordered set partition of {1..p}: an ordering of the indices cut
+    into consecutive runs, each run sorted into a block."""
+    p = draw(st.integers(1, MAX_P))
+    order = draw(st.permutations(range(1, p + 1)))
+    cuts = draw(st.lists(st.booleans(), min_size=p - 1, max_size=p - 1))
+    blocks, run = [], [order[0]]
+    for idx, cut in zip(order[1:], cuts):
+        if cut:
+            blocks.append(tuple(sorted(run)))
+            run = []
+        run.append(idx)
+    blocks.append(tuple(sorted(run)))
+    return OrderedSetPartition(tuple(blocks))
+
+
+@st.composite
+def surjections(draw):
+    """A map of {1..p} onto {1..k}: drawn values relabelled by rank."""
+    values = draw(st.lists(st.integers(0, MAX_P), min_size=1, max_size=MAX_P))
+    rank = {v: r for r, v in enumerate(sorted(set(values)), 1)}
+    return Surjection(tuple(rank[v] for v in values))
+
+
+@st.composite
+def faces_and_points(draw):
+    """A face, a side n and a point of [0, n-1]^p: values drawn per block,
+    weakly decreasing in block order when `inside` is drawn, and then,
+    when `moved` is drawn, one coordinate redrawn."""
+    face = draw(faces())
+    p = face.ground_size
+    n = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(0, n - 1), min_size=face.num_blocks,
+                           max_size=face.num_blocks))
+    inside = draw(st.booleans())
+    if inside:
+        values.sort(reverse=True)
+    coords = [None] * p
+    for value, block in zip(values, face.blocks):
+        for idx in block:
+            coords[idx - 1] = value
+    moved = draw(st.booleans())
+    if moved:
+        coords[draw(st.integers(0, p - 1))] = draw(st.integers(0, n - 1))
+    return face, LatticePoint(tuple(coords), n), inside and not moved
+
+
+@given(faces())
+def test_face_to_surjection_and_back(face):
+    assert surjection_to_facet(facet_to_surjection(face)) == face
+
+
+@given(surjections())
+def test_surjection_to_face_and_back(surjection):
+    assert facet_to_surjection(surjection_to_facet(surjection)) == surjection
+
+
+@given(faces(), st.integers(1, 5))
+def test_enumerated_points_lie_on_the_face_and_count_figurate(face, n):
+    k = face.num_blocks
+    count = 0
+    # The point cap bounds n^k, not the figurate(k, n) points enumerated.
+    for point in enumerate_points(face, n, max_points=n ** k):
+        assert facet_contains(face, point)
+        count += 1
+    assert count == figurate(k, n)
+
+
+@given(faces_and_points())
+def test_relation_test_matches_facet_contains(drawn):
+    face, point, inside = drawn
+    contained = facet_contains(face, point)
+    assert contained or not inside
+    relation = _relation(reversed(face.blocks), face.ground_size)
+    assert (relation & ~_weak_order(point.coords) == 0) == contained
+
+
+def is_integer(value):
+    return type(value) is int
+
+
+def valid_face(blocks):
+    indices = [i for block in blocks for i in block]
+    return (
+        len(blocks) > 0
+        and all(len(block) > 0 for block in blocks)
+        and all(map(is_integer, indices))
+        and all(a < b for block in blocks for a, b in zip(block, block[1:]))
+        and sorted(indices) == list(range(1, len(indices) + 1))
+    )
+
+
+def valid_expression(sigma, relations):
+    return (
+        all(map(is_integer, sigma))
+        and sorted(sigma) == list(range(1, len(sigma) + 1))
+        and len(relations) == len(sigma) - 1
+        and all(r in (GEQ, EQ) for r in relations)
+    )
+
+
+def valid_surjection(values):
+    return (
+        len(values) > 0
+        and all(map(is_integer, values))
+        and set(values) == set(range(1, max(values) + 1))
+    )
+
+
+def valid_point(coords, side):
+    return (
+        is_integer(side)
+        and side >= 1
+        and all(map(is_integer, coords))
+        and all(0 <= c < side for c in coords)
+    )
+
+
+NOT_INTEGERS = st.sampled_from([True, False, 1.0, 2.0])
+# True once in four draws: each way to break an input is drawn rarely, so
+# that valid inputs are drawn often.
+rarely = st.integers(0, 3).map(lambda i: i == 0)
+# Permutations of 1..m, which are valid index lists, and lists of small
+# integers, which mostly are not.
+index_lists = st.one_of(
+    st.integers(0, 6).flatmap(lambda m: st.permutations(range(1, m + 1))),
+    st.lists(st.integers(-1, 6), max_size=6),
+)
+
+
+@st.composite
+def spoiled(draw, lists):
+    """A list drawn from `lists`, and, rarely, one entry replaced by a
+    bool or a float."""
+    values = list(draw(lists))
+    if values and draw(rarely):
+        values[draw(st.integers(0, len(values) - 1))] = draw(NOT_INTEGERS)
+    return values
+
+
+@st.composite
+def face_arguments(draw):
+    """An index list cut into blocks, some of them empty when two cuts
+    meet, each block sorted unless drawn otherwise; rarely no block."""
+    indices = draw(spoiled(index_lists))
+    cuts = sorted(draw(st.lists(st.integers(0, len(indices)), max_size=3)))
+    blocks = [indices[a:b] for a, b in zip([0] + cuts, cuts + [len(indices)])]
+    if not draw(rarely):
+        blocks = [sorted(block) for block in blocks]
+    return ([] if draw(rarely) else blocks,)
+
+
+@st.composite
+def expression_arguments(draw):
+    sigma = draw(spoiled(index_lists))
+    size = draw(st.integers(0, 6)) if draw(rarely) else max(len(sigma) - 1, 0)
+    relations = draw(st.lists(st.sampled_from([GEQ, EQ]), min_size=size, max_size=size))
+    if relations and draw(rarely):
+        relations[draw(st.integers(0, len(relations) - 1))] = draw(st.sampled_from([">", 1]))
+    return sigma, relations
+
+
+@st.composite
+def point_arguments(draw):
+    side = draw(st.one_of(st.integers(-1, 0), NOT_INTEGERS) if draw(rarely) else st.integers(1, 5))
+    top = side if is_integer(side) and side > 0 else 1
+    return draw(spoiled(st.lists(st.integers(-1, top), max_size=5))), side
+
+
+surjection_arguments = st.tuples(spoiled(st.one_of(
+    surjections().map(lambda s: s.map), st.lists(st.integers(-1, 5), max_size=6)
+)))
+
+
+@pytest.mark.parametrize("cls, arguments, valid", [
+    pytest.param(OrderedSetPartition, face_arguments(), valid_face, id="face"),
+    pytest.param(ChainExpression, expression_arguments(), valid_expression, id="expression"),
+    pytest.param(Surjection, surjection_arguments, valid_surjection, id="surjection"),
+    pytest.param(LatticePoint, point_arguments(), valid_point, id="point"),
+])
+@given(data=st.data())
+def test_constructor_accepts_exactly_the_valid_inputs(cls, arguments, valid, data):
+    args = data.draw(arguments)
+    try:
+        value = cls(*args)
+    except DomainError:
+        assert not valid(*args)
+        return
+    assert valid(*args)
+    assert cls(*value) == value and cls._make(value) == value
+    assert hash(cls(*value)) == hash(value)
