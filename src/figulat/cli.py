@@ -19,7 +19,7 @@ from .facets import (
     enumerate_facets,
     facet_to_surjection,
 )
-from .lattice import DEFAULT_MAX_POINTS, count_lattice_points, cube_points, point_multiplicity
+from .lattice import DEFAULT_MAX_POINTS, cube_points, point_multiplicity
 from .verifier import ROUTES, SkippedCell, sweep
 
 SCHEMA_VERSION = "1"
@@ -150,7 +150,7 @@ def cmd_facets(args, out, err) -> int:
                 str(v) for v in facet_to_surjection(face).map
             )
         if args.with_counts is not None:
-            record["points"] = count_lattice_points(face, args.with_counts)
+            record["points"] = combinatorics.figurate(face.num_blocks, args.with_counts)
         records.append(record)
     emit_records(records, args.format, out)
     return EXIT_OK

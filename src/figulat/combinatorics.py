@@ -1,6 +1,7 @@
 """Exact closed-form combinatorics: figurate numbers, Stirling
-numbers of the second kind, surjection and facet counts, and both sides of
-the cube-decomposition identity.
+numbers of the second kind, and surjection and facet counts. These are the
+package's only closed forms; the enumeration layers (`facets`, `lattice`)
+and the oracles do not import this module.
 
 All arithmetic is exact big-integer arithmetic; nothing here rounds.
 """
@@ -104,14 +105,3 @@ def stirling_identity_eval(p: int, x: int) -> int:
         total += stirling2_recurrence(p, j) * falling
     return total
 
-
-def rhs_identity(p: int, n: int) -> int:
-    """The alternating facet sum sum_{l=0}^{p-1} (-1)^l c_{p,l} F^{p-l}_n;
-    equals n^p for all p, n >= 1."""
-    if p < 1:
-        raise DomainError(f"dimension must be >= 1, got p={p}")
-    if n < 1:
-        raise DomainError(f"side must be >= 1, got n={n}")
-    return sum(
-        (-1) ** l * facet_count(p, l) * figurate(p - l, n) for l in range(p)
-    )

@@ -10,8 +10,9 @@ face contains a point iff every bit of the face is a bit of the point.
 
 Points, like faces, are immutable named tuples equal only to their own
 type. A direct `LatticePoint(...)` call checks that its side and
-coordinates are integers in range and stores the coordinates as a tuple;
-the point generators build with `tuple.__new__` and skip the checks.
+coordinates are integers in range and stores the coordinates as a tuple.
+The point generators reject the sides the constructor rejects, with its
+messages, then build each point with `tuple.__new__`, unchecked.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from itertools import combinations_with_replacement, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import figurate
 from .errors import BudgetExceededError, DomainError
 from .facets import (
     DEFAULT_MAX_EXPRESSIONS,
@@ -76,8 +76,10 @@ def enumerate_points(
     """Yield the lattice points of the face, each once. Read from the last
     block to the first, the block values weakly increase: they are the
     size-k multisets of {0..n-1}, yielded in lexicographic order."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"side must be an integer, got {n!r}")
     if n < 1:
-        raise DomainError(f"side must be >= 1, got n={n}")
+        raise DomainError(f"side must be >= 1, got {n}")
     k = facet.num_blocks
     if n ** k > max_points:
         raise BudgetExceededError(
@@ -98,17 +100,14 @@ def enumerate_points(
     return map(tuple.__new__, repeat(LatticePoint), zip(coords, repeat(n)))
 
 
-def count_lattice_points(facet: OrderedSetPartition, n: int) -> int:
-    """Closed form: a face with k blocks contains figurate(k, n) points."""
-    if n < 1:
-        raise DomainError(f"side must be >= 1, got n={n}")
-    return figurate(facet.num_blocks, n)
-
-
 def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterator[LatticePoint]:
     """All n^p lattice points of the cube, in lexicographic order."""
-    if p < 1 or n < 1:
-        raise DomainError(f"cube requires p >= 1 and n >= 1, got (p={p}, n={n})")
+    if p < 1:
+        raise DomainError(f"dimension must be >= 1, got p={p}")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"side must be an integer, got {n!r}")
+    if n < 1:
+        raise DomainError(f"side must be >= 1, got {n}")
     if n ** p > max_points:
         raise BudgetExceededError(
             f"cube scan for (p={p}, n={n}) exceeds the point cap", n ** p, max_points

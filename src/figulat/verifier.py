@@ -49,6 +49,8 @@ class SkippedCell(NamedTuple):
 
 
 def _validate(p: int, n: int) -> None:
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (p, n)):
+        raise DomainError(f"verification requires integer p and n, got (p={p!r}, n={n!r})")
     if p < 1 or n < 1:
         raise DomainError(f"verification requires p >= 1 and n >= 1, got (p={p}, n={n})")
 
@@ -78,12 +80,14 @@ def verify_algebraic(p: int, n: int) -> VerificationReport:
 def verify_geometric(
     p: int,
     n: int,
+    *,
     max_expressions: int = DEFAULT_MAX_EXPRESSIONS,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> VerificationReport:
     """Enumerate every face and its lattice points; no closed forms on the
     right-hand side. Every codimension's budget is checked before the
-    first face is built."""
+    first face is built; `max_points` caps one face's enumeration, not the
+    cell's total."""
     _validate(p, n)
     check_every_codimension(p, max_expressions)
     terms = []
@@ -111,8 +115,9 @@ def verify_geometric(
 def verify_pointwise(
     p: int,
     n: int,
-    max_points: int = DEFAULT_MAX_POINTS,
+    *,
     max_expressions: int = DEFAULT_MAX_EXPRESSIONS,
+    max_points: int = DEFAULT_MAX_POINTS,
 ) -> VerificationReport:
     """Check that every cube point has signed cover multiplicity 1. The
     cube's budget is checked first; the face index of the first point then

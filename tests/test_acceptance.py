@@ -12,7 +12,6 @@ from figulat.cli import main
 from figulat.combinatorics import (
     facet_count,
     figurate,
-    rhs_identity,
     stirling2_inclusion_exclusion,
     stirling2_recurrence,
     stirling_identity_eval,
@@ -25,7 +24,6 @@ from figulat.facets import (
     surjection_to_facet,
 )
 from figulat.lattice import (
-    count_lattice_points,
     cube_points,
     facet_contains,
     point_multiplicity,
@@ -36,7 +34,7 @@ from figulat.oracles import (
     oracle_surjections,
     oracle_weakly_decreasing_tuples,
 )
-from figulat.verifier import verify_geometric
+from figulat.verifier import verify_algebraic, verify_geometric
 
 
 def report(number, text):
@@ -46,7 +44,8 @@ def report(number, text):
 def test_criterion_1_algebraic_identity():
     for p in range(1, 13):
         for n in range(1, 11):
-            assert rhs_identity(p, n) == n ** p
+            r = verify_algebraic(p, n)
+            assert r.ok and r.rhs == n ** p
     report(1, "algebraic route, p in [1,12], n in [1,10], exact equality")
 
 
@@ -120,7 +119,7 @@ def test_criterion_7_figurate_oracle():
                         1 for point in cube_points(p, n)
                         if facet_contains(face, point)
                     )
-                    assert count_lattice_points(face, n) == scanned
+                    assert figurate(face.num_blocks, n) == scanned
     report(7, "figurate matches tuple-scan oracle; face point counts match cube scans")
 
 

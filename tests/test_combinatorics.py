@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from figulat.combinatorics import (
     facet_count,
     figurate,
-    rhs_identity,
     stirling2_inclusion_exclusion,
     stirling2_recurrence,
     stirling_identity_eval,
@@ -181,24 +180,3 @@ class TestStirlingIdentity:
         with pytest.raises(DomainError):
             stirling_identity_eval(0, 2)
 
-
-class TestRhsIdentity:
-    def test_hand_computed(self):
-        # p=2, n=2: 2*F^2_2 - 1*F^1_2 = 2*3 - 2
-        assert rhs_identity(2, 2) == 4
-        # p=4, n=2: 24*5 - 36*4 + 14*3 - 1*2
-        assert rhs_identity(4, 2) == 24 * 5 - 36 * 4 + 14 * 3 - 2 == 16
-
-    def test_side_one(self):
-        for p in range(1, 13):
-            assert rhs_identity(p, 1) == 1
-
-    def test_equals_power_grid(self):
-        for p in range(1, 13):
-            for n in range(1, 11):
-                assert rhs_identity(p, n) == n ** p
-
-    @pytest.mark.parametrize("p,n", [(0, 2), (2, 0)])
-    def test_rejects_out_of_domain(self, p, n):
-        with pytest.raises(DomainError):
-            rhs_identity(p, n)

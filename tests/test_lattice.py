@@ -7,22 +7,32 @@ from math import comb
 import pytest
 
 from figulat import lattice
-from figulat.combinatorics import surjection_count
+from figulat.combinatorics import figurate, surjection_count
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, enumerate_facets
 from figulat.lattice import (
     LatticePoint,
-    count_lattice_points,
     cube_points,
     enumerate_points,
     facet_contains,
     point_multiplicity,
 )
-from figulat.verifier import verify_pointwise
+from figulat.verifier import verify_geometric, verify_pointwise
 
 
 def pt(coords, n):
     return LatticePoint(tuple(coords), n)
+
+
+def point_count(face, n):
+    return sum(1 for _ in enumerate_points(face, n))
+
+
+def side_error(side):
+    """The message `LatticePoint` rejects `side` with."""
+    with pytest.raises(DomainError) as raised:
+        LatticePoint((0,), side)
+    return str(raised.value)
 
 
 def faces_by_codimension(p):
@@ -163,33 +173,37 @@ class TestEnumeratePoints:
             enumerate_points(f, 100, max_points=10)
 
     def test_rejects_side_zero(self):
-        with pytest.raises(DomainError):
-            enumerate_points(OrderedSetPartition(((1,),)), 0)
+        for side in (0, True, 2.0):
+            with pytest.raises(DomainError) as raised:
+                enumerate_points(OrderedSetPartition(((1,),)), side)
+            assert str(raised.value) == side_error(side)
 
 
 class TestCountLatticePoints:
+    """How many points a face yields. A face with k blocks holds
+    figurate(k, n) of them: a check made here, never a call in `lattice`."""
+
     def test_examples(self):
-        assert count_lattice_points(OrderedSetPartition(((1,), (2,))), 2) == 3
-        assert count_lattice_points(OrderedSetPartition(((1, 2, 3),)), 5) == 5
-        assert count_lattice_points(OrderedSetPartition(((1,), (2,), (3,))), 2) == 4
+        assert point_count(OrderedSetPartition(((1,), (2,))), 2) == 3
+        assert point_count(OrderedSetPartition(((1, 2, 3),)), 5) == 5
+        assert point_count(OrderedSetPartition(((1,), (2,), (3,))), 2) == 4
 
     def test_matches_enumeration(self):
         for p in range(1, 5):
             for l in range(p):
                 for f in enumerate_facets(p, l):
                     for n in range(1, 5):
-                        assert count_lattice_points(f, n) == sum(
-                            1 for _ in enumerate_points(f, n)
-                        )
+                        assert figurate(f.num_blocks, n) == point_count(f, n)
 
     def test_uniform_over_same_block_count(self):
-        for l in range(4):
-            counts = {count_lattice_points(f, 3) for f in enumerate_facets(4, l)}
-            assert len(counts) == 1
-
-    def test_rejects_side_zero(self):
-        with pytest.raises(DomainError):
-            count_lattice_points(OrderedSetPartition(((1,),)), 0)
+        # The geometric route reads per_facet_points from the first face of
+        # each codimension only; every other face must yield as many.
+        for p in range(1, 6):
+            for n in range(1, 4):
+                terms = verify_geometric(p, n).per_l_terms
+                for l in range(p):
+                    counts = {point_count(f, n) for f in enumerate_facets(p, l)}
+                    assert counts == {terms[l].per_facet_points}
 
 
 class TestCubePoints:
@@ -204,10 +218,12 @@ class TestCubePoints:
     def test_is_a_generator(self):
         assert inspect.isgenerator(cube_points(2, 2))
 
-    @pytest.mark.parametrize("p,n", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("p,n", [(0, 1), (1, 0), (2, True), (2, 2.0)])
     def test_rejects_dimension_or_side_zero(self, p, n):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as raised:
             cube_points(p, n)
+        if p >= 1:
+            assert str(raised.value) == side_error(n)
 
     def test_generated_points_skip_validation_and_pass_it(self, count_validations):
         validated = count_validations(LatticePoint)

@@ -1,10 +1,14 @@
-"""The package root exports nothing, and importing a module loads only
-the modules it needs."""
+"""The package root exports nothing, importing a module loads only the
+modules it needs, and only the algebraic route and the CLI reach the closed
+forms."""
+import ast
 import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import figulat
 
@@ -45,3 +49,34 @@ def test_cli_import_loads_no_command_specific_modules():
     added = modules_loaded_by("import figulat.cli")
     assert "figulat.cli" in added
     assert added & {"dataclasses", "inspect", "json", "csv", "figulat.oracles"} == set()
+
+
+@pytest.mark.parametrize("module", ["figulat.lattice", "figulat.oracles"])
+def test_enumeration_and_oracle_imports_load_no_closed_form(module):
+    added = modules_loaded_by(f"import {module}")
+    assert module in added
+    assert "figulat.combinatorics" not in added
+
+
+def names_combinatorics(node):
+    """True iff `node` is an import statement that names `combinatorics`."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [alias.name for alias in node.names]
+    else:
+        return False
+    return any("combinatorics" in name.split(".") for name in names)
+
+
+def test_only_the_algebraic_route_and_the_cli_import_closed_forms():
+    """Besides `combinatorics` itself, only `verifier` and `cli` import
+    it. Checked statically, so an import inside a function counts too."""
+    package = Path(figulat.__file__).resolve().parent
+    importers = {
+        path.stem
+        for path in package.glob("*.py")
+        if path.stem != "combinatorics"
+        and any(map(names_combinatorics, ast.walk(ast.parse(path.read_text()))))
+    }
+    assert importers == {"verifier", "cli"}

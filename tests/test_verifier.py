@@ -4,10 +4,9 @@ from math import comb, factorial
 import pytest
 
 from figulat import verifier
-from figulat.combinatorics import rhs_identity, stirling2_inclusion_exclusion
+from figulat.combinatorics import stirling2_inclusion_exclusion
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.facets import OrderedSetPartition
-from figulat.lattice import DEFAULT_MAX_POINTS
 from figulat.verifier import (
     SkippedCell,
     VerificationReport,
@@ -16,6 +15,15 @@ from figulat.verifier import (
     verify_geometric,
     verify_pointwise,
 )
+
+# Each is rejected by every route with a DomainError, before any work.
+OUT_OF_DOMAIN = [(0, 1), (1, 0), (2, True), (True, 2), (2, 2.0), (2.0, 2)]
+
+
+def assert_rejects_out_of_domain(route):
+    for p, n in OUT_OF_DOMAIN:
+        with pytest.raises(DomainError):
+            route(p, n)
 
 
 class TestAlgebraicRoute:
@@ -38,14 +46,12 @@ class TestAlgebraicRoute:
         assert [t.signed_term for t in report.per_l_terms] == [120, -144, 42, -2]
 
     def test_rejects_out_of_domain(self):
-        with pytest.raises(DomainError):
-            verify_algebraic(0, 1)
+        assert_rejects_out_of_domain(verify_algebraic)
 
     def test_rhs_is_the_closed_form_sum(self):
         for p in range(1, 40):
             for n in range(1, 4):
                 report = verify_algebraic(p, n)
-                assert report.rhs == rhs_identity(p, n)
                 assert report.rhs == sum(t.signed_term for t in report.per_l_terms)
                 assert [t.signed_term for t in report.per_l_terms] == [
                     (-1) ** t.l * t.facet_count * t.per_facet_points
@@ -80,6 +86,14 @@ class TestGeometricRoute:
         report = verify_geometric(3, 2)
         assert report.ok and report.rhs == 8
         assert [t.signed_term for t in report.per_l_terms] == [24, -18, 2]
+
+    def test_rejects_out_of_domain(self):
+        assert_rejects_out_of_domain(verify_geometric)
+
+    def test_point_cap_applies_to_one_face_not_the_cell(self):
+        # The largest face needs 2^3 = 8 points of budget; the cell has 44.
+        report = verify_geometric(3, 2, max_points=8)
+        assert report.ok and report.points_enumerated == 44
 
     def test_enumeration_actually_ran(self):
         for p in range(1, 4):
@@ -117,6 +131,9 @@ class TestPointwiseRoute:
         assert report.per_l_terms == ()
         assert report.first_failure is None
 
+    def test_rejects_out_of_domain(self):
+        assert_rejects_out_of_domain(verify_pointwise)
+
     def test_side_one(self):
         for p in range(1, 5):
             report = verify_pointwise(p, 1)
@@ -129,14 +146,20 @@ class TestPointwiseRoute:
     def test_expression_cap_is_checked_before_the_scan(self):
         # p=4, l=0 needs 4! = 24 expressions; l=1 needs 4! * 3 = 72.
         with pytest.raises(BudgetExceededError, match=r"\(p=4, l=0\).*needs 24, budget is 23"):
-            verify_pointwise(4, 1, DEFAULT_MAX_POINTS, 23)
+            verify_pointwise(4, 1, max_expressions=23)
         with pytest.raises(BudgetExceededError, match=r"\(p=4, l=1\).*needs 72, budget is 71"):
             verify_pointwise(4, 1, max_expressions=71)
-        assert verify_pointwise(4, 2, DEFAULT_MAX_POINTS, 72).ok
+        assert verify_pointwise(4, 2, max_expressions=72).ok
 
     def test_cube_cap_is_checked_first(self):
         with pytest.raises(BudgetExceededError, match="cube scan"):
             verify_pointwise(3, 3, max_points=8, max_expressions=1)
+
+
+def test_budgets_are_keyword_only_on_both_routes():
+    for route in (verify_geometric, verify_pointwise):
+        with pytest.raises(TypeError):
+            route(2, 2, 10 ** 6)
 
 
 class TestSweep:
