@@ -203,8 +203,8 @@ def _audit_pairings(args):
             for point in cube_points(p, n):
                 yield (
                     f"signed cover p={p} n={n} point=({point.text()})",
-                    point_multiplicity(point, p),
-                    oracles.oracle_signed_cover(point, p),
+                    point_multiplicity(point),
+                    oracles.oracle_signed_cover(point),
                 )
 
 

@@ -139,8 +139,12 @@ class Surjection(_Value, namedtuple("Surjection", "map")):
 
 def _check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
     """Raise unless the p! * C(p-1, l) chain expressions fit the cap."""
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise DomainError(f"dimension must be an integer, got {p!r}")
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
+    if isinstance(l, bool) or not isinstance(l, int):
+        raise DomainError(f"codimension must be an integer, got {l!r}")
     if l < 0 or l >= p:
         raise DomainError(f"codimension must satisfy 0 <= l <= p-1, got l={l} for p={p}")
     required = factorial(p) * comb(p - 1, l)
@@ -155,6 +159,10 @@ def check_every_codimension(p: int, max_expressions: int) -> None:
     """Raise unless every codimension l = 0..p-1 fits the expression cap,
     checked in order of l. Callers that build the faces of the whole
     identity call this before they build the first face."""
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise DomainError(f"dimension must be an integer, got {p!r}")
+    if p < 1:
+        raise DomainError(f"dimension must be >= 1, got p={p}")
     for l in range(p):
         _check_enumeration_budget(p, l, max_expressions)
 

@@ -102,6 +102,8 @@ def enumerate_points(
 
 def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterator[LatticePoint]:
     """All n^p lattice points of the cube, in lexicographic order."""
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise DomainError(f"dimension must be an integer, got {p!r}")
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
     if isinstance(n, bool) or not isinstance(n, int):
@@ -151,20 +153,15 @@ def _face_index(p: int, max_expressions: int) -> tuple[tuple[int, ...], ...]:
 
 
 def point_multiplicity(
-    point: LatticePoint, p: int, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
+    point: LatticePoint, *, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
 ) -> int:
     """Signed cover multiplicity: sum over codimension l of (-1)^l times the
     number of codimension-l faces containing the point. Always 1 for points
-    of the cube. The faces are tested one by one; `max_expressions` is the
-    budget of the face enumeration."""
-    if p < 1:
-        raise DomainError(f"dimension must be >= 1, got p={p}")
-    if len(point.coords) != p:
-        raise DomainError(
-            f"point has {len(point.coords)} coordinates, expected {p}"
-        )
+    of the cube. The dimension is the point's number of coordinates. The
+    faces are tested one by one; `max_expressions` is the budget of the
+    face enumeration."""
     outside = ~_weak_order(point.coords)
     return sum(
         (-1) ** l * sum(1 for f in by_l if not f & outside)
-        for l, by_l in enumerate(_face_index(p, max_expressions))
+        for l, by_l in enumerate(_face_index(len(point.coords), max_expressions))
     )

@@ -4,7 +4,7 @@ Every closed form in the package has a counterpart here that shares no code
 with it: surjections by filtering all maps, set partitions by direct
 recursion, figurate counts by scanning all tuples, and the signed cover by
 the group-factorization shortcut. Slowness is the point; these exist to be
-obviously correct.
+obviously correct. They return plain values and import only `errors`.
 """
 from __future__ import annotations
 
@@ -13,16 +13,14 @@ from math import factorial
 from operator import ge
 
 from .errors import BudgetExceededError, DomainError
-from .facets import Surjection
-from .lattice import LatticePoint
 
 DEFAULT_MAX_MAPS = 10 ** 7
 MAX_PARTITION_SIZE = 10
 
 
-def oracle_surjections(m: int, k: int, max_maps: int = DEFAULT_MAX_MAPS) -> list[Surjection]:
-    """All surjections {1..m} -> {1..k}, by filtering all k^m maps.
-    Lexicographic order."""
+def oracle_surjections(m: int, k: int, max_maps: int = DEFAULT_MAX_MAPS) -> list[tuple[int, ...]]:
+    """The value tuples of all surjections {1..m} -> {1..k}, by filtering
+    all k^m maps. Lexicographic order."""
     if m < 1 or k < 1:
         raise DomainError(f"sizes must be >= 1, got (m={m}, k={k})")
     if k ** m > max_maps:
@@ -30,11 +28,7 @@ def oracle_surjections(m: int, k: int, max_maps: int = DEFAULT_MAX_MAPS) -> list
             f"surjection scan for (m={m}, k={k}) exceeds the map cap", k ** m, max_maps
         )
     full_range = set(range(1, k + 1))
-    return [
-        Surjection(values)
-        for values in product(range(1, k + 1), repeat=m)
-        if set(values) == full_range
-    ]
+    return [values for values in product(range(1, k + 1), repeat=m) if set(values) == full_range]
 
 
 def oracle_set_partitions(m: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -82,12 +76,10 @@ def _group_factor(size: int) -> int:
     )
 
 
-def oracle_signed_cover(point: LatticePoint, p: int) -> int:
+def oracle_signed_cover(point: "LatticePoint") -> int:
     """Signed cover multiplicity by the algebraic shortcut: the sum
     factorizes over groups of coordinates sharing a value, one factor per
-    group, each factor 1."""
-    if len(point.coords) != p:
-        raise DomainError(f"point has {len(point.coords)} coordinates, expected {p}")
+    group, each factor 1. Reads only the point's `coords`."""
     result = 1
     for value in set(point.coords):
         group_size = sum(1 for c in point.coords if c == value)

@@ -9,7 +9,7 @@ Reports, their terms and skipped cells are named tuples.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, repeat
+from itertools import chain, repeat, zip_longest
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .combinatorics import facet_count, figurate
@@ -129,7 +129,7 @@ def verify_pointwise(
     points_enumerated = 0
     for point in points:
         points_enumerated += 1
-        multiplicity = point_multiplicity(point, p, max_expressions)
+        multiplicity = point_multiplicity(point, max_expressions=max_expressions)
         rhs += multiplicity
         if multiplicity != 1 and first_failure is None:
             first_failure = point.coords
@@ -152,13 +152,14 @@ def sweep(
 ) -> Iterator[SweepCell]:
     """One cell per (p, n, route), ordered by p, then n, then route, yielded
     as each finishes. Budget failures become SkippedCell entries; the sweep
-    never aborts. Unknown routes and p or n below 1 raise at call time."""
+    never aborts. Unknown routes and values a route rejects raise at call time."""
     routes = list(routes)
     for route in routes:
         if route not in ROUTES:
             raise DomainError(f"unknown route {route!r}; expected one of {ROUTES}")
-    if min(ps, default=1) < 1 or min(ns, default=1) < 1:
-        raise DomainError("sweep requires every p >= 1 and every n >= 1")
+    # Checks every p and every n, even when the other sequence is empty.
+    for p, n in zip_longest(ps, ns, fillvalue=1):
+        _validate(p, n)
     ordered_routes = [r for r in ROUTES if r in routes]
 
     def generate() -> Iterator[SweepCell]:

@@ -63,9 +63,9 @@ def test_criterion_3_pointwise_cover():
     for p in range(1, 6):
         for n in range(1, 5):
             for point in cube_points(p, n):
-                m = point_multiplicity(point, p)
+                m = point_multiplicity(point)
                 assert m == 1
-                assert oracle_signed_cover(point, p) == m
+                assert oracle_signed_cover(point) == m
     report(3, "signed cover multiplicity 1 everywhere, both computations agree")
 
 

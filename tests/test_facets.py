@@ -152,6 +152,12 @@ class TestEnumerateChainExpressions:
         with pytest.raises(DomainError):
             enumerate_chain_expressions(3, 3)
 
+    @pytest.mark.parametrize("p,l", [(True, 0), (2.0, 0), (2, True), (2, 1.0)])
+    def test_rejects_dimension_or_codimension_not_an_integer(self, p, l):
+        for generate in (enumerate_facets, enumerate_chain_expressions):
+            with pytest.raises(DomainError, match="must be an integer"):
+                generate(p, l)
+
 
 class TestCanonicalize:
     def test_equality_run_is_sorted(self):
@@ -295,6 +301,11 @@ class TestCheckEveryCodimension:
         with pytest.raises(BudgetExceededError, match=r"\(p=5, l=2\).*needs 720, budget is 719"):
             check_every_codimension(5, 719)
         check_every_codimension(5, 720)
+
+    @pytest.mark.parametrize("p", [0, -3, True, 2.0])
+    def test_rejects_bad_dimension(self, p):
+        with pytest.raises(DomainError, match="^dimension must be "):
+            check_every_codimension(p, 1)
 
 
 class TestSurjectionBijection:

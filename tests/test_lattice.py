@@ -179,7 +179,7 @@ class TestEnumeratePoints:
             assert str(raised.value) == side_error(side)
 
 
-class TestCountLatticePoints:
+class TestFacePointCounts:
     """How many points a face yields. A face with k blocks holds
     figurate(k, n) of them: a check made here, never a call in `lattice`."""
 
@@ -218,11 +218,13 @@ class TestCubePoints:
     def test_is_a_generator(self):
         assert inspect.isgenerator(cube_points(2, 2))
 
-    @pytest.mark.parametrize("p,n", [(0, 1), (1, 0), (2, True), (2, 2.0)])
+    @pytest.mark.parametrize("p,n", [
+        (0, 1), (1, 0), (2, True), (2, 2.0), (True, 2), (2.0, 2),
+    ])
     def test_rejects_dimension_or_side_zero(self, p, n):
         with pytest.raises(DomainError) as raised:
             cube_points(p, n)
-        if p >= 1:
+        if type(p) is int and p >= 1:
             assert str(raised.value) == side_error(n)
 
     def test_generated_points_skip_validation_and_pass_it(self, count_validations):
@@ -259,18 +261,18 @@ def test_generators_skip_both_validators(count_validations):
 
 class TestPointMultiplicity:
     def test_hand_checked_pairs(self):
-        assert point_multiplicity(pt((1, 0), 2), 2) == 1
-        assert point_multiplicity(pt((1, 1), 2), 2) == 1
+        assert point_multiplicity(pt((1, 0), 2)) == 1
+        assert point_multiplicity(pt((1, 1), 2)) == 1
 
     def test_origin(self):
         for p in range(1, 5):
-            assert point_multiplicity(pt((0,) * p, 1), p) == 1
+            assert point_multiplicity(pt((0,) * p, 1)) == 1
 
     def test_always_one(self):
         for p in range(1, 5):
             for n in range(1, 5):
                 for q in cube_points(p, n):
-                    assert point_multiplicity(q, p) == 1
+                    assert point_multiplicity(q) == 1
 
     def test_every_point_in_a_top_face(self):
         for p in range(1, 5):
@@ -278,13 +280,14 @@ class TestPointMultiplicity:
             for q in cube_points(p, 3):
                 assert any(facet_contains(f, q) for f in top)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            point_multiplicity(pt((0, 0), 2), 3)
-
     def test_rejects_dimension_zero(self):
-        with pytest.raises(DomainError):
-            point_multiplicity(pt((), 1), 0)
+        with pytest.raises(DomainError, match=r"^dimension must be >= 1, got p=0$"):
+            point_multiplicity(pt((), 1))
+
+    def test_expression_cap_is_keyword_only(self):
+        # A caller that still passes p must not have it taken as the cap.
+        with pytest.raises(TypeError):
+            point_multiplicity(pt((1, 0), 2), 2)
 
 
 class TestFaceRelationIndex:
@@ -307,7 +310,7 @@ class TestFaceRelationIndex:
         for coords in [(0,) * 6, (2, 1, 0, 2, 1, 0), (0, 1, 2, 2, 1, 0),
                        (1, 1, 0, 0, 2, 2), (2, 2, 2, 2, 2, 1), (0, 3, 1, 3, 2, 0)]:
             q = pt(coords, 4)
-            assert point_multiplicity(q, 6) == signed_count(faces, q) == 1
+            assert point_multiplicity(q) == signed_count(faces, q) == 1
 
     def test_types_are_exactly_weak_orders(self):
         """Points of side n group by relation into types with k distinct
@@ -365,7 +368,7 @@ class TestFaceRelationIndex:
         try:
             with pytest.raises(BudgetExceededError,
                                match=r"\(p=5, l=2\).*needs 720, budget is 500"):
-                point_multiplicity(pt((0,) * 5, 1), 5, 500)
+                point_multiplicity(pt((0,) * 5, 1), max_expressions=500)
         finally:
             lattice._face_index.cache_clear()
 
@@ -384,7 +387,7 @@ class TestFaceRelationIndex:
             assert verify_pointwise(3, 2, max_expressions=raised).ok is True
             assert caps == [raised] * 3
             caps.clear()
-            assert point_multiplicity(pt((1, 0, 1), 2), 3) == 1
+            assert point_multiplicity(pt((1, 0, 1), 2)) == 1
             assert caps == [DEFAULT_MAX_EXPRESSIONS] * 3
         finally:
             lattice._face_index.cache_clear()

@@ -1,6 +1,6 @@
 """The package root exports nothing, importing a module loads only the
-modules it needs, and only the algebraic route and the CLI reach the closed
-forms."""
+modules it needs, only the algebraic route and the CLI reach the closed
+forms, and the oracles reach nothing of the package but its errors."""
 import ast
 import inspect
 import os
@@ -58,25 +58,43 @@ def test_enumeration_and_oracle_imports_load_no_closed_form(module):
     assert "figulat.combinatorics" not in added
 
 
-def names_combinatorics(node):
-    """True iff `node` is an import statement that names `combinatorics`."""
-    if isinstance(node, ast.Import):
-        names = [alias.name for alias in node.names]
-    elif isinstance(node, ast.ImportFrom):
-        names = [node.module or ""] + [alias.name for alias in node.names]
-    else:
-        return False
-    return any("combinatorics" in name.split(".") for name in names)
+PACKAGE = Path(figulat.__file__).resolve().parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def package_imports(path):
+    """The package modules, by name, that the source at `path` imports.
+    Read statically, so an import inside a function or under
+    `TYPE_CHECKING` counts too."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["figulat" if node.level else "", node.module]))
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        imported.update(name.split(".")[1] for name in names if name.startswith("figulat."))
+    return imported & MODULES
+
+
+def importers_of(module):
+    return {path.stem for path in PACKAGE.glob("*.py") if module in package_imports(path)}
 
 
 def test_only_the_algebraic_route_and_the_cli_import_closed_forms():
     """Besides `combinatorics` itself, only `verifier` and `cli` import
-    it. Checked statically, so an import inside a function counts too."""
-    package = Path(figulat.__file__).resolve().parent
-    importers = {
-        path.stem
-        for path in package.glob("*.py")
-        if path.stem != "combinatorics"
-        and any(map(names_combinatorics, ast.walk(ast.parse(path.read_text()))))
-    }
-    assert importers == {"verifier", "cli"}
+    it."""
+    assert importers_of("combinatorics") == {"verifier", "cli"}
+
+
+def test_oracles_import_only_errors_and_only_the_cli_imports_them():
+    assert package_imports(PACKAGE / "oracles.py") == {"errors"}
+    assert importers_of("oracles") == {"cli"}
+
+
+def test_oracle_import_loads_only_errors():
+    added = modules_loaded_by("import figulat.oracles")
+    assert {name for name in added if name.split(".")[0] == "figulat"} == {
+        "figulat", "figulat.errors", "figulat.oracles"}

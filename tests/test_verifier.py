@@ -214,3 +214,8 @@ class TestSweep:
     def test_rejects_values_below_one(self):
         with pytest.raises(DomainError):
             sweep(range(0, 3), range(1, 3))
+
+    @pytest.mark.parametrize("ps,ns", [([2], [True]), ([2.0], [1]), ([1, 2, 0.5], [])])
+    def test_rejects_values_a_route_rejects_at_call_time(self, ps, ns):
+        with pytest.raises(DomainError, match="requires integer p and n"):
+            sweep(ps, ns)
