@@ -2,7 +2,8 @@
 listings, and the closed-form-vs-oracle audit.
 
 Exit codes: 0 all ok, 1 identity or audit failure, 2 usage error, 3 a
-sweep cell or listing was skipped for budget reasons.
+sweep cell or listing was skipped for budget reasons, 4 a crash (any other
+exception; its traceback goes to stderr).
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_CRASH = 4
 
 
 def parse_range(text: str, minimum: int, flag: str) -> range:
@@ -303,6 +305,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
     except BudgetExceededError as exc:
         err.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
+    except Exception:
+        # A crash is not a failed identity: it must never exit 1.
+        import traceback
+        traceback.print_exc(file=err)
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

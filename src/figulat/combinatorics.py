@@ -17,6 +17,9 @@ def figurate(k: int, n: int) -> int:
     """Figurate number F^k_n = C(n+k-1, k): the number of weakly decreasing
     k-tuples with entries in {0..n-1}, i.e. lattice points of a k-simplex of
     side n."""
+    if (isinstance(k, bool) or isinstance(n, bool)
+            or not isinstance(k, int) or not isinstance(n, int)):
+        raise DomainError(f"figurate requires integer k and n, got (k={k!r}, n={n!r})")
     if k < 1:
         raise DomainError(f"figurate dimension must be >= 1, got k={k}")
     if n < 1:
@@ -24,10 +27,14 @@ def figurate(k: int, n: int) -> int:
     return comb(n + k - 1, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def stirling2_recurrence(m: int, j: int) -> int:
     """Stirling number of the second kind S(m, j) via the triangular
-    recurrence S(m,j) = j*S(m-1,j) + S(m-1,j-1). Memoized."""
+    recurrence S(m,j) = j*S(m-1,j) + S(m-1,j-1). Memoized by argument
+    type too, so a bool or a float never reads the entry of an equal int."""
+    if (isinstance(m, bool) or isinstance(j, bool)
+            or not isinstance(m, int) or not isinstance(j, int)):
+        raise DomainError(f"stirling2 requires integer arguments, got ({m!r}, {j!r})")
     if m < 0 or j < 0:
         raise DomainError(f"stirling2 requires nonnegative arguments, got ({m}, {j})")
     if m == 0:
@@ -42,6 +49,9 @@ def stirling2_inclusion_exclusion(m: int, j: int) -> int:
 
     Independent of the recurrence route; used to cross-check it. The final
     division by j! must be exact."""
+    if (isinstance(m, bool) or isinstance(j, bool)
+            or not isinstance(m, int) or not isinstance(j, int)):
+        raise DomainError(f"stirling2 requires integer arguments, got ({m!r}, {j!r})")
     if m < 0:
         raise DomainError(f"stirling2 requires nonnegative m, got {m}")
     if j < 1:
@@ -58,6 +68,9 @@ def stirling2_inclusion_exclusion(m: int, j: int) -> int:
 def surjection_count(m: int, j: int) -> int:
     """Number of surjections from an m-set onto a j-set: j! * S(m, j),
     read from the face-count row of m."""
+    if (isinstance(m, bool) or isinstance(j, bool)
+            or not isinstance(m, int) or not isinstance(j, int)):
+        raise DomainError(f"surjection_count requires integer arguments, got ({m!r}, {j!r})")
     if m < 0 or j < 0:
         raise DomainError(f"surjection_count requires nonnegative arguments, got ({m}, {j})")
     if 1 <= j <= m:
@@ -65,43 +78,32 @@ def surjection_count(m: int, j: int) -> int:
     return 1 if j == m == 0 else 0
 
 
-# (p, row) with row[j - 1] = j! * S(p, j): the face counts, and so the
-# surjection counts, of the last p asked for, since sweeps run p-major.
+# (p, row) with row[j - 1] = T(p, j) = j! * S(p, j): the face counts, and
+# so the surjection counts, of the last p asked for, since sweeps run
+# p-major. (0, []) means no row.
 _facet_row: tuple[int, list[int]] = (0, [])
 
 
 def facet_count(p: int, l: int) -> int:
     """Number c_{p,l} of codimension-l faces of the order decomposition of
-    the p-cube: (p-l)! * S(p, p-l). The whole row of p is built on the
-    first call for that p, with a running factorial; only the last row is
-    kept."""
+    the p-cube: (p-l)! * S(p, p-l), the surjection count T(p, p-l). The
+    row of p is stepped by T(m, j) = j * (T(m-1, j) + T(m-1, j-1)), on
+    from the kept row when p is larger, else from T(1, .) = [1]. Only the
+    last row is kept, and nothing recurses."""
     global _facet_row
+    if (isinstance(p, bool) or isinstance(l, bool)
+            or not isinstance(p, int) or not isinstance(l, int)):
+        raise DomainError(f"facet_count requires integer p and l, got (p={p!r}, l={l!r})")
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
     if l < 0 or l >= p:
         raise DomainError(f"codimension must satisfy 0 <= l <= p-1, got l={l} for p={p}")
     row_p, row = _facet_row
     if row_p != p:
-        # Filled here, not by a helper, so the Stirling recursion starts no
-        # deeper than it would for a single count.
-        row = []
-        j_factorial = 1
-        for j in range(1, p + 1):
-            j_factorial *= j
-            row.append(j_factorial * stirling2_recurrence(p, j))
+        if not 1 <= row_p < p:
+            row_p, row = 1, [1]
+        for m in range(row_p + 1, p + 1):
+            # T(m-1, 0) = T(m-1, m) = 0 pad the row at both ends.
+            row = [j * (a + b) for j, a, b in zip(range(1, m + 1), row + [0], [0] + row)]
         _facet_row = (p, row)
     return row[p - l - 1]
-
-
-def stirling_identity_eval(p: int, x: int) -> int:
-    """sum_{j=1}^{p} S(p,j) * x(x-1)...(x-j+1); equals x^p for every
-    integer x."""
-    if p < 1:
-        raise DomainError(f"exponent must be >= 1, got p={p}")
-    total = 0
-    falling = 1
-    for j in range(1, p + 1):
-        falling *= x - j + 1
-        total += stirling2_recurrence(p, j) * falling
-    return total
-

@@ -14,7 +14,6 @@ from figulat.combinatorics import (
     figurate,
     stirling2_inclusion_exclusion,
     stirling2_recurrence,
-    stirling_identity_eval,
 )
 from figulat.facets import (
     Surjection,
@@ -100,7 +99,11 @@ def test_criterion_5_stirling_cross_check():
 def test_criterion_6_stirling_polynomial_identity():
     for p in range(1, 13):
         for x in range(-10, 11):
-            assert stirling_identity_eval(p, x) == x ** p
+            total, falling = 0, 1
+            for j in range(1, p + 1):
+                falling *= x - j + 1
+                total += stirling2_recurrence(p, j) * falling
+            assert total == x ** p
     report(6, "falling-factorial expansion equals x^p on p in [1,12], x in [-10,10]")
 
 

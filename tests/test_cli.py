@@ -233,6 +233,22 @@ class TestVerifyCommand:
         assert [(r["route"], r["ok"]) for r in records] == [("algebraic", False)]
         assert err.startswith("skipped p=3 n=3 route=geometric: ")
 
+    def test_crash_exits_4_with_its_traceback(self, monkeypatch):
+        def crash(p, n):
+            raise RuntimeError("injected")
+        monkeypatch.setattr(verifier, "verify_algebraic", crash)
+        code, out, err = run(["verify", "--p", "2", "--n", "2", "--route", "algebraic"])
+        assert (code, out) == (4, "")
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: injected\n")
+
+    def test_large_p_algebraic_cell(self):
+        code, out, err = run(["verify", "--p", "1000", "--n", "2", "--route", "algebraic",
+                              "--format", "json-lines"])
+        record = json.loads(out)
+        assert (code, err) == (0, "")
+        assert record["lhs"] == record["rhs"] == 2 ** 1000 and record["ok"]
+
     def test_usage_error_on_bad_flag(self):
         code, _, _ = run(["verify", "--p", "1..2", "--n", "1..2", "--nope"])
         assert code == 2

@@ -1,19 +1,22 @@
 import random
+import sys
+from functools import cache
 from itertools import product
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from figulat import combinatorics
 from figulat.combinatorics import (
     facet_count,
     figurate,
     stirling2_inclusion_exclusion,
     stirling2_recurrence,
-    stirling_identity_eval,
     surjection_count,
 )
 from figulat.errors import DomainError
+from figulat.verifier import verify_algebraic
 
 
 def count_weakly_decreasing(k, n):
@@ -163,20 +166,86 @@ class TestFacetCount:
             ]
 
 
+def falling_factorial_sum(p, x):
+    """sum_{j=1}^{p} S(p,j) * x(x-1)...(x-j+1), which equals x^p."""
+    total, falling = 0, 1
+    for j in range(1, p + 1):
+        falling *= x - j + 1
+        total += stirling2_recurrence(p, j) * falling
+    return total
+
+
 class TestStirlingIdentity:
     def test_negative_substitution(self):
-        assert stirling_identity_eval(2, -2) == 4
+        assert falling_factorial_sum(2, -2) == 4
 
     def test_at_zero_and_one(self):
         for p in range(1, 13):
-            assert stirling_identity_eval(p, 0) == 0
-            assert stirling_identity_eval(p, 1) == 1
+            assert falling_factorial_sum(p, 0) == 0
+            assert falling_factorial_sum(p, 1) == 1
 
     @given(st.integers(1, 12), st.integers(-10, 10))
     def test_equals_power(self, p, x):
-        assert stirling_identity_eval(p, x) == x ** p
+        assert falling_factorial_sum(p, x) == x ** p
 
-    def test_rejects_exponent_zero(self):
-        with pytest.raises(DomainError):
-            stirling_identity_eval(0, 2)
 
+@pytest.mark.parametrize("form,args", [
+    (figurate, (1, 1)),
+    (facet_count, (1, 0)),
+    (surjection_count, (1, 1)),
+    (stirling2_recurrence, (1, 1)),
+    (stirling2_inclusion_exclusion, (1, 1)),
+], ids=["figurate", "facet_count", "surjection_count", "stirling2_recurrence",
+       "stirling2_inclusion_exclusion"])
+@pytest.mark.parametrize("bad", [bool, float, lambda v: -v - 1],
+                         ids=["bool", "float", "negative"])
+@pytest.mark.parametrize("position", [0, 1], ids=["first", "second"])
+def test_closed_forms_reject_bools_floats_and_negatives(form, args, bad, position):
+    """Each argument of a valid call, turned into a bool or a float of the
+    same value, or made negative, is refused. The valid call runs first,
+    so a cached result cannot answer for the bad one."""
+    form(*args)
+    wrong = list(args)
+    wrong[position] = bad(args[position])
+    with pytest.raises(DomainError):
+        form(*wrong)
+
+
+@pytest.fixture
+def recursion_limit_200():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(before)
+
+
+@cache
+def surjections_by_inclusion_exclusion(p, l):
+    return factorial(p - l) * stirling2_inclusion_exclusion(p, p - l)
+
+
+class TestSteppedFaceCountRow:
+    """The face-count row of p is stepped from the row before it, so no
+    depth of p reaches the recursion limit or fills the Stirling cache."""
+
+    @pytest.fixture(autouse=True)
+    def no_row(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_facet_row", (0, []))
+
+    def test_p1024_under_a_recursion_limit_of_200(self, recursion_limit_200):
+        assert verify_algebraic(1024, 2).ok
+
+    def test_verify_fills_no_stirling_cache(self):
+        stirling2_recurrence.cache_clear()
+        assert verify_algebraic(60, 3).ok
+        assert stirling2_recurrence.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("ps", [
+        [1000, 1024], [1024, 1000], [1000, 1000, 1024, 1024, 1000],
+    ], ids=["ascending", "descending", "repeated"])
+    def test_large_p_matches_inclusion_exclusion(self, ps):
+        for p in ps:
+            for l in (0, 1, p // 2, p - 2, p - 1):
+                assert facet_count(p, l) == surjections_by_inclusion_exclusion(p, l)
