@@ -27,21 +27,19 @@ def figurate(k: int, n: int) -> int:
     return comb(n + k - 1, k)
 
 
+# Memoized only because `bench/layers.py` reads its cache_info().
 @lru_cache(maxsize=None, typed=True)
 def stirling2_recurrence(m: int, j: int) -> int:
-    """Stirling number of the second kind S(m, j) via the triangular
-    recurrence S(m,j) = j*S(m-1,j) + S(m-1,j-1). Memoized by argument
-    type too, so a bool or a float never reads the entry of an equal int."""
+    """Stirling number of the second kind S(m, j) = T(m, j) / j!, read from
+    the surjection row T(m, .) that `facet_count` steps by the triangular
+    recurrence; the division is exact. Memoized by argument type too, so a
+    bool or a float never reads the entry of an equal int."""
     if (isinstance(m, bool) or isinstance(j, bool)
             or not isinstance(m, int) or not isinstance(j, int)):
         raise DomainError(f"stirling2 requires integer arguments, got ({m!r}, {j!r})")
     if m < 0 or j < 0:
         raise DomainError(f"stirling2 requires nonnegative arguments, got ({m}, {j})")
-    if m == 0:
-        return 1 if j == 0 else 0
-    if j == 0 or j > m:
-        return 0
-    return j * stirling2_recurrence(m - 1, j) + stirling2_recurrence(m - 1, j - 1)
+    return surjection_count(m, j) // factorial(j)
 
 
 def stirling2_inclusion_exclusion(m: int, j: int) -> int:

@@ -159,11 +159,8 @@ def check_every_codimension(p: int, max_expressions: int) -> None:
     """Raise unless every codimension l = 0..p-1 fits the expression cap,
     checked in order of l. Callers that build the faces of the whole
     identity call this before they build the first face."""
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise DomainError(f"dimension must be an integer, got {p!r}")
-    if p < 1:
-        raise DomainError(f"dimension must be >= 1, got p={p}")
-    for l in range(p):
+    _check_enumeration_budget(p, 0, max_expressions)  # checks p first
+    for l in range(1, p):
         _check_enumeration_budget(p, l, max_expressions)
 
 

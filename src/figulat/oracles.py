@@ -21,6 +21,9 @@ MAX_PARTITION_SIZE = 10
 def oracle_surjections(m: int, k: int, max_maps: int = DEFAULT_MAX_MAPS) -> list[tuple[int, ...]]:
     """The value tuples of all surjections {1..m} -> {1..k}, by filtering
     all k^m maps. Lexicographic order."""
+    if (isinstance(m, bool) or isinstance(k, bool)
+            or not isinstance(m, int) or not isinstance(k, int)):
+        raise DomainError(f"sizes must be integers, got (m={m!r}, k={k!r})")
     if m < 1 or k < 1:
         raise DomainError(f"sizes must be >= 1, got (m={m}, k={k})")
     if k ** m > max_maps:
@@ -34,6 +37,8 @@ def oracle_surjections(m: int, k: int, max_maps: int = DEFAULT_MAX_MAPS) -> list
 def oracle_set_partitions(m: int) -> list[tuple[tuple[int, ...], ...]]:
     """All unordered set partitions of {1..m}, blocks sorted by least
     element, indices ascending inside blocks. Canonical order."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise DomainError(f"size must be an integer, got {m!r}")
     if m < 0:
         raise DomainError(f"size must be >= 0, got {m}")
     if m > MAX_PARTITION_SIZE:
@@ -58,6 +63,9 @@ def oracle_set_partitions(m: int) -> list[tuple[tuple[int, ...], ...]]:
 
 def oracle_weakly_decreasing_tuples(k: int, n: int, max_points: int = DEFAULT_MAX_MAPS) -> int:
     """Count weakly decreasing k-tuples over {0..n-1} by scanning all n^k."""
+    if (isinstance(k, bool) or isinstance(n, bool)
+            or not isinstance(k, int) or not isinstance(n, int)):
+        raise DomainError(f"arguments must be integers, got (k={k!r}, n={n!r})")
     if k < 1 or n < 1:
         raise DomainError(f"arguments must be >= 1, got (k={k}, n={n})")
     if n ** k > max_points:

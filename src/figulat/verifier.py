@@ -144,8 +144,8 @@ SweepCell = Union[VerificationReport, SkippedCell]
 
 
 def sweep(
-    ps: Sequence[int],
-    ns: Sequence[int],
+    ps: Iterable[int],
+    ns: Iterable[int],
     routes: Iterable[str] = ROUTES,
     max_expressions: int = DEFAULT_MAX_EXPRESSIONS,
     max_points: int = DEFAULT_MAX_POINTS,
@@ -153,6 +153,9 @@ def sweep(
     """One cell per (p, n, route), ordered by p, then n, then route, yielded
     as each finishes. Budget failures become SkippedCell entries; the sweep
     never aborts. Unknown routes and values a route rejects raise at call time."""
+    # An iterator is read once, into a tuple, so the checks do not drain it;
+    # a range stays lazy, so a long n range costs no memory.
+    ps, ns = (v if isinstance(v, Sequence) else tuple(v) for v in (ps, ns))
     routes = list(routes)
     for route in routes:
         if route not in ROUTES:

@@ -72,7 +72,7 @@ def test_criterion_4_facet_counts():
     for p in range(1, 8):
         for l in range(p):
             faces = enumerate_facets(p, l)
-            closed_form = factorial(p - l) * stirling2_recurrence(p, p - l)
+            closed_form = factorial(p - l) * stirling2_inclusion_exclusion(p, p - l)
             assert len(faces) == closed_form == facet_count(p, l)
             assert len(faces) == len(oracle_surjections(p, p - l))
     for p in range(1, 7):

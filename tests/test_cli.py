@@ -385,6 +385,15 @@ class TestTableCommand:
         values = [json.loads(line)["value"] for line in out.splitlines()]
         assert values == [1, 7, 6, 1]
 
+    def test_stirling_row_past_the_recursion_limit(self):
+        code, out, _ = run([
+            "table", "--kind", "stirling", "--m", "600", "--format", "json-lines",
+        ])
+        assert code == 0
+        values = [json.loads(line)["value"] for line in out.splitlines()]
+        assert values == [
+            combinatorics.stirling2_inclusion_exclusion(600, j) for j in range(1, 601)]
+
     def test_figurate_row(self):
         code, out, _ = run([
             "table", "--kind", "figurate", "--k", "2", "--n", "1..4",

@@ -227,8 +227,9 @@ def surjections_by_inclusion_exclusion(p, l):
 
 
 class TestSteppedFaceCountRow:
-    """The face-count row of p is stepped from the row before it, so no
-    depth of p reaches the recursion limit or fills the Stirling cache."""
+    """The surjection row T(p, .) of face counts is stepped from the row
+    before it, so no depth of p reaches the recursion limit, and S(m, j) is
+    read from the same row. The verify path fills no Stirling cache."""
 
     @pytest.fixture(autouse=True)
     def no_row(self, monkeypatch):
@@ -236,6 +237,11 @@ class TestSteppedFaceCountRow:
 
     def test_p1024_under_a_recursion_limit_of_200(self, recursion_limit_200):
         assert verify_algebraic(1024, 2).ok
+
+    def test_stirling_at_m1000_under_a_recursion_limit_of_200(self, recursion_limit_200):
+        stirling2_recurrence.cache_clear()
+        for j in (1, 2, 500, 999, 1000):
+            assert stirling2_recurrence(1000, j) == stirling2_inclusion_exclusion(1000, j)
 
     def test_verify_fills_no_stirling_cache(self):
         stirling2_recurrence.cache_clear()

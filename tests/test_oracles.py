@@ -78,6 +78,26 @@ class TestOracleWeaklyDecreasing:
             oracle_weakly_decreasing_tuples(3, 3, max_points=26)
 
 
+@pytest.mark.parametrize("oracle,args,position", [
+    (oracle_surjections, (2, 2), 0),
+    (oracle_surjections, (2, 2), 1),
+    (oracle_set_partitions, (2,), 0),
+    (oracle_weakly_decreasing_tuples, (2, 2), 0),
+    (oracle_weakly_decreasing_tuples, (2, 2), 1),
+], ids=["oracle_surjections-first", "oracle_surjections-second", "oracle_set_partitions",
+       "oracle_weakly_decreasing_tuples-first", "oracle_weakly_decreasing_tuples-second"])
+@pytest.mark.parametrize("bad", [bool, float, lambda v: v + 0.5],
+                         ids=["bool", "float", "fraction"])
+def test_oracles_reject_bools_and_non_integers(oracle, args, position, bad):
+    """Each argument of a valid call, turned into a bool, a float of the
+    same value or a fraction, is refused rather than answered."""
+    oracle(*args)
+    wrong = list(args)
+    wrong[position] = bad(args[position])
+    with pytest.raises(DomainError):
+        oracle(*wrong)
+
+
 class TestOracleSignedCover:
     def test_hand_checked(self):
         assert oracle_signed_cover(LatticePoint((1, 0), 2)) == 1

@@ -98,3 +98,36 @@ def test_oracle_import_loads_only_errors():
     added = modules_loaded_by("import figulat.oracles")
     assert {name for name in added if name.split(".")[0] == "figulat"} == {
         "figulat", "figulat.errors", "figulat.oracles"}
+
+
+# Recursion the guard below allows: `extend` builds set partitions of at
+# most `oracles.MAX_PARTITION_SIZE` = 10 elements, so it nests 10 deep.
+BOUNDED_RECURSION = {("oracles", "oracle_set_partitions.extend")}
+
+
+def self_calls(tree, prefix=""):
+    """The qualified names of the functions under `tree` that call
+    themselves by name, directly or from a function nested in them."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + node.name
+            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                   and call.func.id == node.name for call in ast.walk(node)):
+                found.add(name)
+            found |= self_calls(node, name + ".")
+        elif isinstance(node, ast.ClassDef):
+            found |= self_calls(node, prefix + node.name + ".")
+        else:
+            found |= self_calls(node, prefix)
+    return found
+
+
+def test_no_function_calls_itself():
+    """Exact arithmetic at any size cannot reach the recursion limit."""
+    recursive = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name in self_calls(ast.parse(path.read_text()))
+    }
+    assert recursive == BOUNDED_RECURSION

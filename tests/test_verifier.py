@@ -207,6 +207,10 @@ class TestSweep:
         assert [type(c) for c in cells] == [VerificationReport, SkippedCell, SkippedCell]
         assert cells[1].reason == cells[2].reason
 
+    def test_reads_iterators_once(self):
+        cells = list(sweep(iter([1, 2]), iter([1, 2]), ["algebraic"]))
+        assert [(c.p, c.n) for c in cells] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
     def test_rejects_unknown_route(self):
         with pytest.raises(DomainError):
             sweep(range(1, 3), range(1, 3), ["sideways"])
