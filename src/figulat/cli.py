@@ -148,9 +148,7 @@ def cmd_facets(args, out, err) -> int:
     for face in enumerate_facets(args.p, args.l, args.max_expressions):
         record = {"p": args.p, "l": args.l, "facet": face.text()}
         if args.with_surjections:
-            record["surjection"] = ",".join(
-                str(v) for v in facet_to_surjection(face).map
-            )
+            record["surjection"] = ",".join(map(str, facet_to_surjection(face)))
         if args.with_counts is not None:
             record["points"] = combinatorics.figurate(face.num_blocks, args.with_counts)
         records.append(record)

@@ -4,30 +4,26 @@ A face is an ordered set partition of {1..p}: blocks of indices with equal
 coordinates, block values weakly decreasing in block order; codimension l
 means p-l blocks. Faces are built directly, each once, already in sorted
 order of their block sequences. Partitions into k blocks are in bijection
-with surjections {1..p} -> {1..k}.
+with surjections {1..p} -> {1..k}, given as plain tuples of values.
 
-The paper's chain expressions stay as the cross-check: a permutation sigma
-of {1..p} interleaved with p-1 relations ">=" or "=", which collapses to
-its face when each maximal equality run becomes a sorted block. The
-expression cap bounds the p! * C(p-1, l) expressions that describe the
-codimension-l faces; it is checked before any face is built.
+The paper counts the codimension-l faces as collapsed chain expressions,
+p! * C(p-1, l) of them; collapsing them all is
+`oracles.oracle_collapsed_faces`, the brute-force reference. The expression
+cap bounds that same count, and is checked before any face is built.
 
-Faces, chain expressions and surjections are immutable named tuples, each
-equal only to its own type. A direct call checks its arguments, integer
-entries included, and stores each sequence as a tuple; the package's
-generators build with `tuple.__new__`, which skips the checks.
+Faces are immutable named tuples, each equal only to its own type. A direct
+call checks its arguments, integer entries included, and stores each
+sequence as a tuple; the package's generators build with `tuple.__new__`,
+which skips the checks.
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from itertools import chain, combinations, permutations, repeat
+from collections import namedtuple
+from itertools import chain, combinations, repeat
 from math import comb, factorial
-from typing import Iterator
+from typing import Sequence
 
 from .errors import BudgetExceededError, DomainError
-
-GEQ = ">="
-EQ = "="
 
 # Default budget: every call with p <= 9 fits (9! * 2^8 raw expressions).
 DEFAULT_MAX_EXPRESSIONS = factorial(9) * 2 ** 8
@@ -65,28 +61,6 @@ def _integers(values, what: str) -> tuple[int, ...]:
     return values
 
 
-class ChainExpression(_Value, namedtuple("ChainExpression", "sigma relations")):
-    __slots__ = ()
-
-    def __new__(cls, sigma: tuple[int, ...], relations: tuple[str, ...]):
-        sigma, relations = _integers(sigma, "sigma entries"), tuple(relations)
-        p = len(sigma)
-        if sorted(sigma) != list(range(1, p + 1)):
-            raise DomainError(f"sigma must be a permutation of 1..{p}, got {sigma}")
-        if len(relations) != p - 1:
-            raise DomainError(f"expected {p - 1} relation symbols, got {len(relations)}")
-        if any(r not in (GEQ, EQ) for r in relations):
-            raise DomainError(f"relation symbols must be {GEQ!r} or {EQ!r}")
-        return tuple.__new__(cls, (sigma, relations))
-
-    def text(self) -> str:
-        parts = [f"x{self.sigma[0]}"]
-        for rel, idx in zip(self.relations, self.sigma[1:]):
-            parts.append(rel)
-            parts.append(f"x{idx}")
-        return "".join(parts)
-
-
 class OrderedSetPartition(_Value, namedtuple("OrderedSetPartition", "blocks")):
     __slots__ = ()
 
@@ -117,24 +91,7 @@ class OrderedSetPartition(_Value, namedtuple("OrderedSetPartition", "blocks")):
 
     def text(self) -> str:
         """Stable text form, e.g. '{1,2}>={3}'."""
-        return GEQ.join("{" + ",".join(str(i) for i in b) + "}" for b in self.blocks)
-
-
-class Surjection(_Value, namedtuple("Surjection", "map")):
-    __slots__ = ()
-
-    def __new__(cls, map: tuple[int, ...]):
-        map = _integers(map, "surjection values")
-        if not map:
-            raise DomainError("surjection must have a nonempty domain")
-        k = max(map)
-        if min(map) < 1 or set(map) != set(range(1, k + 1)):
-            raise DomainError(f"map must attain every value in 1..{k}, got {map}")
-        return tuple.__new__(cls, (map,))
-
-    @property
-    def codomain_size(self) -> int:
-        return max(self.map)
+        return ">=".join("{" + ",".join(str(i) for i in b) + "}" for b in self.blocks)
 
 
 def _check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
@@ -147,6 +104,9 @@ def _check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
         raise DomainError(f"codimension must be an integer, got {l!r}")
     if l < 0 or l >= p:
         raise DomainError(f"codimension must satisfy 0 <= l <= p-1, got l={l} for p={p}")
+    if (isinstance(max_expressions, bool) or not isinstance(max_expressions, int)
+            or max_expressions < 1):
+        raise DomainError(f"expression cap must be an integer >= 1, got {max_expressions!r}")
     required = factorial(p) * comb(p - 1, l)
     if required > max_expressions:
         raise BudgetExceededError(
@@ -162,51 +122,6 @@ def check_every_codimension(p: int, max_expressions: int) -> None:
     _check_enumeration_budget(p, 0, max_expressions)  # checks p first
     for l in range(1, p):
         _check_enumeration_budget(p, l, max_expressions)
-
-
-def enumerate_chain_expressions(
-    p: int, l: int, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
-) -> Iterator[ChainExpression]:
-    """Yield all p! * C(p-1, l) chain expressions with exactly l equality
-    symbols, in lexicographic order by (sigma, relations)."""
-    _check_enumeration_budget(p, l, max_expressions)
-    # "=" sorts before ">=", so combinations of EQ positions in
-    # lexicographic order give relation tuples in lexicographic order
-    relation_tuples = [
-        tuple(EQ if i in eq_positions else GEQ for i in range(p - 1))
-        for eq_positions in combinations(range(p - 1), l)
-    ]
-    new = tuple.__new__  # every sigma and relation tuple here is valid
-    return (
-        new(ChainExpression, (sigma, relations))
-        for sigma in permutations(range(1, p + 1))
-        for relations in relation_tuples
-    )
-
-
-def canonicalize(expr: ChainExpression) -> OrderedSetPartition:
-    """Collapse maximal equality runs into blocks, in chain order."""
-    blocks: list[tuple[int, ...]] = []
-    run = [expr.sigma[0]]
-    for rel, idx in zip(expr.relations, expr.sigma[1:]):
-        if rel == EQ:
-            run.append(idx)
-        else:
-            blocks.append(tuple(sorted(run)))
-            run = [idx]
-    blocks.append(tuple(sorted(run)))
-    return OrderedSetPartition(tuple(blocks))
-
-
-def facet_multiplicities(
-    p: int, l: int, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
-) -> dict[OrderedSetPartition, int]:
-    """Map each canonical face to the number of chain expressions that
-    canonicalize to it (the product of block-size factorials)."""
-    counts: Counter[OrderedSetPartition] = Counter()
-    for expr in enumerate_chain_expressions(p, l, max_expressions):
-        counts[canonicalize(expr)] += 1
-    return dict(counts)
 
 
 def _block_sequences(left: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -258,21 +173,21 @@ def enumerate_facets(
     return faces
 
 
-def facet_to_surjection(facet: OrderedSetPartition) -> Surjection:
-    """Send every index in block i to value i (blocks numbered from 1)."""
-    p = facet.ground_size
-    values = [0] * p
+def facet_to_surjection(facet: OrderedSetPartition) -> tuple[int, ...]:
+    """The values of the surjection that sends every index in block i to
+    i (blocks numbered from 1)."""
+    values = [0] * facet.ground_size
     for i, block in enumerate(facet.blocks, start=1):
         for idx in block:
             values[idx - 1] = i
-    return Surjection(tuple(values))
+    return tuple(values)
 
 
-def surjection_to_facet(surjection: Surjection) -> OrderedSetPartition:
-    """Block i is the preimage of value i."""
-    k = surjection.codomain_size
-    blocks = tuple(
-        tuple(i for i, v in enumerate(surjection.map, start=1) if v == value)
-        for value in range(1, k + 1)
-    )
-    return OrderedSetPartition(blocks)
+def surjection_to_facet(surjection: Sequence[int]) -> OrderedSetPartition:
+    """Block i is the preimage of value i. The face's own check refuses an
+    empty map, a value below 1 and a skipped value."""
+    values = _integers(surjection, "surjection values")
+    return OrderedSetPartition(tuple(
+        tuple(i for i, v in enumerate(values, start=1) if v == value)
+        for value in range(1, max(values, default=0) + 1)
+    ))

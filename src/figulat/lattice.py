@@ -80,6 +80,8 @@ def enumerate_points(
         raise DomainError(f"side must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"side must be >= 1, got {n}")
+    if isinstance(max_points, bool) or not isinstance(max_points, int) or max_points < 1:
+        raise DomainError(f"point cap must be an integer >= 1, got {max_points!r}")
     k = facet.num_blocks
     if n ** k > max_points:
         raise BudgetExceededError(
@@ -110,6 +112,8 @@ def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterato
         raise DomainError(f"side must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"side must be >= 1, got {n}")
+    if isinstance(max_points, bool) or not isinstance(max_points, int) or max_points < 1:
+        raise DomainError(f"point cap must be an integer >= 1, got {max_points!r}")
     if n ** p > max_points:
         raise BudgetExceededError(
             f"cube scan for (p={p}, n={n}) exceeds the point cap", n ** p, max_points
@@ -139,12 +143,13 @@ def _weak_order(values: Sequence[int]) -> int:
     return _relation(levels, len(values))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _face_index(p: int, max_expressions: int) -> tuple[tuple[int, ...], ...]:
     """The relation bit set of every face, by codimension. Every
     codimension's budget is checked before the first face is built. Cached
     for the last p and expression cap only, since sweeps run p-major; the
-    faces themselves are not kept."""
+    faces themselves are not kept. Typed, so that a bool cap never reads
+    the entry of an int one and skips the cap's check."""
     check_every_codimension(p, max_expressions)
     return tuple(
         tuple(_relation(reversed(f.blocks), p) for f in enumerate_facets(p, l, max_expressions))

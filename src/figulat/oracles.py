@@ -1,15 +1,17 @@
 """Deliberately naive reference computations.
 
-Every closed form in the package has a counterpart here that shares no code
-with it: surjections by filtering all maps, set partitions by direct
-recursion, figurate counts by scanning all tuples, and the signed cover by
-the group-factorization shortcut. Slowness is the point; these exist to be
-obviously correct. They return plain values and import only `errors`.
+Every closed form and the face generator have a counterpart here that
+shares no code with them: surjections by filtering all maps, set
+partitions by direct recursion, figurate counts by scanning all tuples,
+faces by collapsing every chain expression of the paper, and the signed
+cover by the group-factorization shortcut. Slowness is the point; these
+exist to be obviously correct. They return plain values and import only
+`errors`.
 """
 from __future__ import annotations
 
-from itertools import product
-from math import factorial
+from itertools import combinations, permutations, product
+from math import comb, factorial
 from operator import ge
 
 from .errors import BudgetExceededError, DomainError
@@ -73,6 +75,39 @@ def oracle_weakly_decreasing_tuples(k: int, n: int, max_points: int = DEFAULT_MA
             f"tuple scan for (k={k}, n={n}) exceeds the point cap", n ** k, max_points
         )
     return sum(1 for t in product(range(n), repeat=k) if all(map(ge, t, t[1:])))
+
+
+def oracle_collapsed_faces(
+    p: int, l: int, max_expressions: int = DEFAULT_MAX_MAPS
+) -> dict[tuple[tuple[int, ...], ...], int]:
+    """The faces of codimension l by the paper's definition. A chain
+    expression is a permutation sigma of {1..p} with ">=" or "=" between
+    neighbours, l of the p-1 symbols "="; it collapses to the face whose
+    blocks are its maximal "=" runs, each sorted, in chain order. Maps each
+    face's blocks to the number of the p! * C(p-1, l) expressions that
+    collapse to it."""
+    if (isinstance(p, bool) or isinstance(l, bool)
+            or not isinstance(p, int) or not isinstance(l, int)):
+        raise DomainError(f"arguments must be integers, got (p={p!r}, l={l!r})")
+    if not 0 <= l < p:
+        raise DomainError(f"arguments must satisfy 0 <= l < p, got (p={p}, l={l})")
+    if (isinstance(max_expressions, bool) or not isinstance(max_expressions, int)
+            or max_expressions < 1):
+        raise DomainError(f"expression cap must be an integer >= 1, got {max_expressions!r}")
+    required = factorial(p) * comb(p - 1, l)
+    if required > max_expressions:
+        raise BudgetExceededError(
+            f"chain-expression collapse for (p={p}, l={l}) exceeds the expression cap",
+            required, max_expressions,
+        )
+    counts: dict[tuple[tuple[int, ...], ...], int] = {}
+    for sigma in permutations(range(1, p + 1)):
+        # The p-1-l positions of ">=" cut sigma into its "=" runs.
+        for cuts in combinations(range(1, p), p - 1 - l):
+            bounds = (0, *cuts, p)
+            blocks = tuple(tuple(sorted(sigma[a:b])) for a, b in zip(bounds, bounds[1:]))
+            counts[blocks] = counts.get(blocks, 0) + 1
+    return counts
 
 
 def _group_factor(size: int) -> int:

@@ -7,21 +7,16 @@ import pytest
 from figulat.combinatorics import facet_count
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.facets import (
-    EQ,
-    GEQ,
-    ChainExpression,
+    DEFAULT_MAX_EXPRESSIONS,
     OrderedSetPartition,
-    Surjection,
     _block_sequences,
-    canonicalize,
     check_every_codimension,
-    enumerate_chain_expressions,
     enumerate_facets,
-    facet_multiplicities,
     facet_to_surjection,
     surjection_to_facet,
 )
 from figulat.lattice import LatticePoint
+from figulat.oracles import oracle_collapsed_faces
 
 
 def brute_surjections(m, k):
@@ -35,8 +30,6 @@ def brute_surjections(m, k):
 class TestStrictEquality:
     @pytest.mark.parametrize("cls, fields", [
         pytest.param(OrderedSetPartition, (((1, 2), (3,)),), id="face"),
-        pytest.param(ChainExpression, ((2, 1, 3), (EQ, GEQ)), id="expression"),
-        pytest.param(Surjection, ((1, 1, 2),), id="surjection"),
         pytest.param(LatticePoint, ((1, 0), 2), id="point"),
     ])
     def test_value_differs_from_its_bare_tuple(self, cls, fields):
@@ -51,15 +44,9 @@ class TestStrictEquality:
     @pytest.mark.parametrize("cls, lists, tuples, non_integer", [
         pytest.param(OrderedSetPartition, ([[1], [2]],), (((1,), (2,)),),
                      (((1.0,), (2,)),), id="face"),
-        pytest.param(ChainExpression, ([2, 1], [GEQ]), ((2, 1), (GEQ,)),
-                     ((2.0, 1), (GEQ,)), id="expression"),
-        pytest.param(Surjection, ([1, 2, 1],), ((1, 2, 1),), ((1.0, 2),), id="surjection"),
         pytest.param(LatticePoint, ([1, 0], 2), ((1, 0), 2), ((0.5, 0), 2), id="point"),
         pytest.param(OrderedSetPartition, ([[1], [2]],), (((1,), (2,)),),
                      (((True,), (2,)),), id="face-bool"),
-        pytest.param(ChainExpression, ([2, 1], [GEQ]), ((2, 1), (GEQ,)),
-                     ((2, True), (GEQ,)), id="expression-bool"),
-        pytest.param(Surjection, ([1, 2, 1],), ((1, 2, 1),), ((True, 2),), id="surjection-bool"),
         pytest.param(LatticePoint, ([1, 0], 2), ((1, 0), 2), ((True, False), 2),
                      id="point-bool"),
     ])
@@ -88,95 +75,37 @@ class TestStrictEquality:
             assert face not in by_tuple
 
 
-class TestChainExpression:
-    def test_validates_permutation(self):
-        with pytest.raises(DomainError):
-            ChainExpression((1, 1), (GEQ,))
+class TestCollapsedFaces:
+    """The oracle collapses the paper's chain expressions; these pin what
+    it yields for the face generator to be checked against."""
 
-    def test_validates_relation_count(self):
-        with pytest.raises(DomainError):
-            ChainExpression((1, 2), ())
+    def test_p2(self):
+        # x1>=x2 and x2>=x1; x1=x2 and x2=x1
+        assert oracle_collapsed_faces(2, 0) == {((1,), (2,)): 1, ((2,), (1,)): 1}
+        assert oracle_collapsed_faces(2, 1) == {((1, 2),): 2}
 
-    def test_validates_relation_symbols(self):
-        with pytest.raises(DomainError):
-            ChainExpression((1, 2), ("<",))
-
-    def test_text(self):
-        e = ChainExpression((2, 1, 3), (EQ, GEQ))
-        assert e.text() == "x2=x1>=x3"
-
-
-class TestEnumerateChainExpressions:
-    def test_p2_no_equalities(self):
-        exprs = list(enumerate_chain_expressions(2, 0))
-        assert [e.text() for e in exprs] == ["x1>=x2", "x2>=x1"]
-
-    def test_p2_one_equality(self):
-        exprs = list(enumerate_chain_expressions(2, 1))
-        assert [e.text() for e in exprs] == ["x1=x2", "x2=x1"]
-
-    def test_counts(self):
-        assert sum(1 for _ in enumerate_chain_expressions(3, 1)) == 12
+    def test_expression_counts(self):
+        assert sum(oracle_collapsed_faces(3, 1).values()) == 12
         for p in range(1, 6):
             for l in range(p):
-                count = sum(1 for _ in enumerate_chain_expressions(p, l))
+                count = sum(oracle_collapsed_faces(p, l).values())
                 assert count == factorial(p) * comb(p - 1, l)
 
-    def test_lexicographic_order_and_uniqueness(self):
-        exprs = [
-            (e.sigma, e.relations) for e in enumerate_chain_expressions(4, 2)
-        ]
-        assert exprs == sorted(set(exprs))
+    def test_equality_runs_become_sorted_blocks(self):
+        # x2=x1>=x3 collapses to {1,2}>={3}
+        assert oracle_collapsed_faces(3, 1)[(1, 2), (3,)] == 2
+        assert set(oracle_collapsed_faces(3, 0)) == {
+            tuple((i,) for i in sigma) for sigma in product(range(1, 4), repeat=3)
+            if len(set(sigma)) == 3
+        }
+        assert oracle_collapsed_faces(3, 2) == {((1, 2, 3),): 6}
 
-    def test_budget_error_names_cap(self):
-        with pytest.raises(BudgetExceededError, match="cap"):
-            enumerate_chain_expressions(5, 2, max_expressions=10)
-
-    def test_generated_expressions_skip_validation_and_pass_it(self, count_validations):
-        validated = count_validations(ChainExpression)
+    def test_every_collapse_has_p_minus_l_ascending_blocks(self):
         for p in range(1, 6):
             for l in range(p):
-                exprs = list(enumerate_chain_expressions(p, l))
-                assert validated == []
-                for e in exprs:
-                    assert type(e) is ChainExpression
-                    rebuilt = ChainExpression(e.sigma, e.relations)
-                    assert rebuilt == e and not rebuilt != e and hash(rebuilt) == hash(e)
-                    assert e != tuple(e)
-                assert len(validated) == len(exprs)
-                validated.clear()
-        ChainExpression((1,), ())
-        assert len(validated) == 1
-
-    def test_rejects_bad_codimension(self):
-        with pytest.raises(DomainError):
-            enumerate_chain_expressions(3, 3)
-
-    @pytest.mark.parametrize("p,l", [(True, 0), (2.0, 0), (2, True), (2, 1.0)])
-    def test_rejects_dimension_or_codimension_not_an_integer(self, p, l):
-        for generate in (enumerate_facets, enumerate_chain_expressions):
-            with pytest.raises(DomainError, match="must be an integer"):
-                generate(p, l)
-
-
-class TestCanonicalize:
-    def test_equality_run_is_sorted(self):
-        e = ChainExpression((2, 1, 3), (EQ, GEQ))
-        assert canonicalize(e).blocks == ((1, 2), (3,))
-
-    def test_no_equalities_gives_singletons(self):
-        e = ChainExpression((1, 2, 3), (GEQ, GEQ))
-        assert canonicalize(e).blocks == ((1,), (2,), (3,))
-
-    def test_single_block(self):
-        e = ChainExpression((3, 2, 1), (EQ, EQ))
-        assert canonicalize(e).blocks == ((1, 2, 3),)
-
-    def test_block_count(self):
-        for p in range(1, 6):
-            for l in range(p):
-                for e in enumerate_chain_expressions(p, l):
-                    assert canonicalize(e).num_blocks == p - l
+                for blocks in oracle_collapsed_faces(p, l):
+                    assert len(blocks) == p - l
+                    assert all(list(block) == sorted(block) for block in blocks)
 
 
 class TestOrderedSetPartition:
@@ -239,9 +168,9 @@ class TestEnumerateFacets:
     def test_expression_multiplicity_is_block_factorial_product(self):
         for p in range(1, 6):
             for l in range(p):
-                for face, count in facet_multiplicities(p, l).items():
+                for blocks, count in oracle_collapsed_faces(p, l).items():
                     expected = 1
-                    for block in face.blocks:
+                    for block in blocks:
                         expected *= factorial(len(block))
                     assert count == expected
 
@@ -262,14 +191,18 @@ class TestEnumerateFacets:
     @pytest.mark.parametrize("p", range(1, 8))
     def test_direct_generation_matches_chain_expression_collapse(self, p):
         for l in range(p):
-            collapsed = sorted(facet_multiplicities(p, l), key=lambda f: f.blocks)
-            assert enumerate_facets(p, l) == collapsed
+            collapsed = sorted(oracle_collapsed_faces(p, l))
+            assert [face.blocks for face in enumerate_facets(p, l)] == collapsed
 
-    def test_collapse_still_validates_every_face(self, count_validations):
+    def test_collapse_builds_no_face_and_yields_only_valid_ones(self, count_validations):
         validated = count_validations(OrderedSetPartition)
         for l in range(5):
-            multiplicities = facet_multiplicities(5, l)
-            assert len(validated) == sum(multiplicities.values())
+            collapsed = oracle_collapsed_faces(5, l)
+            assert validated == []
+            for blocks in collapsed:
+                assert type(blocks) is tuple
+                OrderedSetPartition(blocks)
+            assert len(validated) == len(collapsed)
             validated.clear()
 
     def test_generated_faces_skip_validation_and_pass_it(self, count_validations):
@@ -292,6 +225,31 @@ class TestEnumerateFacets:
             enumerate_facets(6, 2, max_expressions=required - 1)
         assert len(enumerate_facets(6, 2, max_expressions=required)) == facet_count(6, 2)
 
+    def test_a_need_too_long_to_print_is_refused_by_its_size(self):
+        # factorial(2000) has 5,736 digits, more than an int prints by default.
+        with pytest.raises(BudgetExceededError) as refused:
+            enumerate_facets(2000, 0)
+        assert refused.value.required == factorial(2000)
+        assert str(refused.value).endswith(
+            f"needs at least 2^{factorial(2000).bit_length() - 1}, budget is "
+            f"{DEFAULT_MAX_EXPRESSIONS}")
+
+    @pytest.mark.parametrize("p,l", [(True, 0), (2.0, 0), (2, True), (2, 1.0)])
+    def test_rejects_dimension_or_codimension_not_an_integer(self, p, l):
+        with pytest.raises(DomainError, match="must be an integer"):
+            enumerate_facets(p, l)
+
+    def test_rejects_bad_codimension(self):
+        with pytest.raises(DomainError):
+            enumerate_facets(3, 3)
+
+    @pytest.mark.parametrize("cap", [True, 0, -5, 2.0, "x", None])
+    def test_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
+        for check in (lambda: enumerate_facets(3, 1, max_expressions=cap),
+                      lambda: check_every_codimension(3, cap)):
+            with pytest.raises(DomainError, match="^expression cap must be an integer >= 1"):
+                check()
+
 
 class TestCheckEveryCodimension:
     def test_reports_the_first_codimension_over_the_cap(self):
@@ -310,20 +268,27 @@ class TestCheckEveryCodimension:
 
 class TestSurjectionBijection:
     def test_facet_to_surjection_examples(self):
-        assert facet_to_surjection(OrderedSetPartition(((1, 2), (3,)))).map == (1, 1, 2)
-        assert facet_to_surjection(OrderedSetPartition(((1,), (2,), (3,)))).map == (1, 2, 3)
-        assert facet_to_surjection(OrderedSetPartition(((3,), (1, 2)))).map == (2, 2, 1)
+        assert facet_to_surjection(OrderedSetPartition(((1, 2), (3,)))) == (1, 1, 2)
+        assert facet_to_surjection(OrderedSetPartition(((1,), (2,), (3,)))) == (1, 2, 3)
+        assert facet_to_surjection(OrderedSetPartition(((3,), (1, 2)))) == (2, 2, 1)
 
     def test_surjection_to_facet_examples(self):
-        assert surjection_to_facet(Surjection((1, 1, 2))).blocks == ((1, 2), (3,))
-        assert surjection_to_facet(Surjection((1, 2, 3))).blocks == ((1,), (2,), (3,))
-        assert surjection_to_facet(Surjection((2, 1, 2))).blocks == ((2,), (1, 3))
+        assert surjection_to_facet((1, 1, 2)).blocks == ((1, 2), (3,))
+        assert surjection_to_facet([1, 2, 3]).blocks == ((1,), (2,), (3,))
+        assert surjection_to_facet((2, 1, 2)).blocks == ((2,), (1, 3))
 
-    def test_surjection_validates(self):
+    @pytest.mark.parametrize("values", [
+        pytest.param((1, 3), id="skips-2"),
+        pytest.param((), id="empty"),
+        pytest.param((0, 1), id="zero"),
+        pytest.param((-1,), id="negative"),
+        pytest.param((2, 2), id="misses-1"),
+        pytest.param((1, True), id="bool"),
+        pytest.param((1, 2.0), id="float"),
+    ])
+    def test_surjection_to_facet_refuses_a_map_that_is_not_onto_1_to_k(self, values):
         with pytest.raises(DomainError):
-            Surjection((1, 3))  # skips 2
-        with pytest.raises(DomainError):
-            Surjection(())
+            surjection_to_facet(values)
 
     def test_round_trip_both_ways(self):
         for p in range(1, 6):
@@ -331,5 +296,4 @@ class TestSurjectionBijection:
                 for face in enumerate_facets(p, l):
                     assert surjection_to_facet(facet_to_surjection(face)) == face
                 for values in brute_surjections(p, p - l):
-                    s = Surjection(values)
-                    assert facet_to_surjection(surjection_to_facet(s)) == s
+                    assert facet_to_surjection(surjection_to_facet(values)) == values

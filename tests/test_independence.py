@@ -102,6 +102,7 @@ def test_pointwise_and_the_signed_cover_oracle_share_nothing(routes, monkeypatch
     (oracles.oracle_surjections, (4, 2)),
     (oracles.oracle_set_partitions, (4,)),
     (oracles.oracle_weakly_decreasing_tuples, (3, 4)),
+    (oracles.oracle_collapsed_faces, (4, 2)),
 ])
 def test_each_oracle_calls_only_its_own_module(oracle, args, monkeypatch):
     called = calls(lambda: oracle(*args), monkeypatch)

@@ -172,6 +172,11 @@ class TestEnumeratePoints:
         with pytest.raises(BudgetExceededError):
             enumerate_points(f, 100, max_points=10)
 
+    @pytest.mark.parametrize("cap", [True, 0, -5, 2.0, "x", None])
+    def test_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
+        with pytest.raises(DomainError, match="^point cap must be an integer >= 1"):
+            enumerate_points(OrderedSetPartition(((1,),)), 2, max_points=cap)
+
     def test_rejects_side_zero(self):
         for side in (0, True, 2.0):
             with pytest.raises(DomainError) as raised:
@@ -214,6 +219,17 @@ class TestCubePoints:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             cube_points(8, 10, max_points=10 ** 6)
+
+    def test_a_need_too_long_to_print_is_refused_by_its_size(self):
+        with pytest.raises(BudgetExceededError) as refused:
+            cube_points(5000, 10)
+        assert refused.value.required == 10 ** 5000
+        assert f"needs at least 2^{(10 ** 5000).bit_length() - 1}," in str(refused.value)
+
+    @pytest.mark.parametrize("cap", [True, 0, -5, 2.0, "x", None])
+    def test_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
+        with pytest.raises(DomainError, match="^point cap must be an integer >= 1"):
+            cube_points(2, 2, max_points=cap)
 
     def test_is_a_generator(self):
         assert inspect.isgenerator(cube_points(2, 2))
@@ -283,6 +299,12 @@ class TestPointMultiplicity:
     def test_rejects_dimension_zero(self):
         with pytest.raises(DomainError, match=r"^dimension must be >= 1, got p=0$"):
             point_multiplicity(pt((), 1))
+
+    def test_a_bool_cap_is_refused_after_its_int_twin_is_cached(self):
+        # True == 1 and hashes alike, so the face index is cached by type.
+        assert point_multiplicity(pt((0,), 1), max_expressions=1) == 1
+        with pytest.raises(DomainError, match="^expression cap must be an integer >= 1"):
+            point_multiplicity(pt((0,), 1), max_expressions=True)
 
     def test_expression_cap_is_keyword_only(self):
         # A caller that still passes p must not have it taken as the cap.

@@ -1,4 +1,3 @@
-from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -6,6 +5,8 @@ import pytest
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.lattice import LatticePoint, cube_points, point_multiplicity
 from figulat.oracles import (
+    DEFAULT_MAX_MAPS,
+    oracle_collapsed_faces,
     oracle_set_partitions,
     oracle_signed_cover,
     oracle_surjections,
@@ -78,14 +79,46 @@ class TestOracleWeaklyDecreasing:
             oracle_weakly_decreasing_tuples(3, 3, max_points=26)
 
 
+class TestOracleCollapsedFaces:
+    def test_faces_are_plain_tuples(self):
+        faces = oracle_collapsed_faces(3, 1)
+        assert type(faces) is dict
+        assert all(type(blocks) is tuple and all(type(b) is tuple for b in blocks)
+                   for blocks in faces)
+
+    def test_cap_counts_every_expression(self):
+        # p=5, l=2: 5! * C(4, 2) = 720 expressions
+        assert sum(oracle_collapsed_faces(5, 2, max_expressions=720).values()) == 720
+        with pytest.raises(BudgetExceededError, match=r"\(p=5, l=2\).*needs 720, budget is 719"):
+            oracle_collapsed_faces(5, 2, max_expressions=719)
+
+    def test_default_cap_refuses_p_9(self):
+        # 9! * C(8, 4) = 25,401,600 expressions at l=4
+        with pytest.raises(BudgetExceededError, match=f"budget is {DEFAULT_MAX_MAPS}$"):
+            oracle_collapsed_faces(9, 4)
+
+    @pytest.mark.parametrize("p,l", [(0, 0), (-1, 0), (3, 3), (3, -1)])
+    def test_rejects_arguments_out_of_range(self, p, l):
+        with pytest.raises(DomainError, match="0 <= l < p"):
+            oracle_collapsed_faces(p, l)
+
+    @pytest.mark.parametrize("cap", [True, 0, -5, 2.0, "x", None])
+    def test_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
+        with pytest.raises(DomainError, match="^expression cap must be an integer >= 1"):
+            oracle_collapsed_faces(3, 1, max_expressions=cap)
+
+
 @pytest.mark.parametrize("oracle,args,position", [
     (oracle_surjections, (2, 2), 0),
     (oracle_surjections, (2, 2), 1),
     (oracle_set_partitions, (2,), 0),
     (oracle_weakly_decreasing_tuples, (2, 2), 0),
     (oracle_weakly_decreasing_tuples, (2, 2), 1),
+    (oracle_collapsed_faces, (2, 1), 0),
+    (oracle_collapsed_faces, (2, 1), 1),
 ], ids=["oracle_surjections-first", "oracle_surjections-second", "oracle_set_partitions",
-       "oracle_weakly_decreasing_tuples-first", "oracle_weakly_decreasing_tuples-second"])
+       "oracle_weakly_decreasing_tuples-first", "oracle_weakly_decreasing_tuples-second",
+       "oracle_collapsed_faces-first", "oracle_collapsed_faces-second"])
 @pytest.mark.parametrize("bad", [bool, float, lambda v: v + 0.5],
                          ids=["bool", "float", "fraction"])
 def test_oracles_reject_bools_and_non_integers(oracle, args, position, bad):

@@ -131,3 +131,25 @@ def test_no_function_calls_itself():
         for name in self_calls(ast.parse(path.read_text()))
     }
     assert recursive == BOUNDED_RECURSION
+
+
+def unused_imports(tree):
+    """The names that the imports in `tree` bind and no other line reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """The leftover a deletion leaves behind; the repo has no linter."""
+    unused = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name in unused_imports(ast.parse(path.read_text()))
+    }
+    assert unused == set()

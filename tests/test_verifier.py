@@ -162,6 +162,14 @@ def test_budgets_are_keyword_only_on_both_routes():
             route(2, 2, 10 ** 6)
 
 
+@pytest.mark.parametrize("budget", ["max_points", "max_expressions"])
+@pytest.mark.parametrize("cap", [True, 0, -5, 2.0, "x", None])
+def test_both_routes_refuse_a_budget_that_is_not_a_positive_integer(budget, cap):
+    for route in (verify_geometric, verify_pointwise):
+        with pytest.raises(DomainError, match="cap must be an integer >= 1"):
+            route(1, 1, **{budget: cap})
+
+
 class TestSweep:
     def test_grid_size_and_order(self):
         cells = list(sweep(range(1, 3), range(1, 3)))
@@ -206,6 +214,15 @@ class TestSweep:
         cells = list(sweep([4], [1], max_expressions=71))
         assert [type(c) for c in cells] == [VerificationReport, SkippedCell, SkippedCell]
         assert cells[1].reason == cells[2].reason
+
+    def test_a_need_too_long_to_print_still_skips(self):
+        # p! has 5,736 digits at p=2000, more than an int prints by default.
+        cells = list(sweep([2000], [1], ["geometric", "pointwise"]))
+        assert [(type(c), c.route) for c in cells] == [
+            (SkippedCell, "geometric"), (SkippedCell, "pointwise")]
+        bits = factorial(2000).bit_length() - 1
+        assert all("(p=2000, l=0)" in c.reason and f"needs at least 2^{bits}," in c.reason
+                   for c in cells)
 
     def test_reads_iterators_once(self):
         cells = list(sweep(iter([1, 2]), iter([1, 2]), ["algebraic"]))
