@@ -125,11 +125,11 @@ def cmd_table(args, out, err) -> int:
                 })
     elif args.kind == "facet-counts":
         for p in args.p:
-            for l in range(p):
+            for l, count in enumerate(combinatorics.facet_counts(p)):
                 records.append({
                     "kind": "facet-counts", "symbol": f"c({p},{l})",
                     "p": p, "l": l,
-                    "value": combinatorics.facet_count(p, l),
+                    "value": count,
                 })
     else:  # figurate
         for k in args.k:

@@ -218,8 +218,8 @@ class TestVerifyCommand:
             assert (code, out) == (2, "")
 
     def test_failing_cell_exits_1_even_when_another_is_skipped(self, monkeypatch):
-        real = verifier.figurate
-        monkeypatch.setattr(verifier, "figurate", lambda k, n: real(k, n) + 1)
+        real = verifier.figurates
+        monkeypatch.setattr(verifier, "figurates", lambda p, n: [v + 1 for v in real(p, n)])
         code, out, err = run(["verify", "--p", "2", "--n", "2", "--route", "algebraic",
                               "--format", "json-lines"])
         record = json.loads(out)

@@ -2,7 +2,7 @@ import random
 import sys
 from functools import cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +10,9 @@ from hypothesis import given, strategies as st
 from figulat import combinatorics
 from figulat.combinatorics import (
     facet_count,
+    facet_counts,
     figurate,
+    figurates,
     stirling2_inclusion_exclusion,
     stirling2_recurrence,
     surjection_count,
@@ -255,3 +257,72 @@ class TestSteppedFaceCountRow:
         for p in ps:
             for l in (0, 1, p // 2, p - 2, p - 1):
                 assert facet_count(p, l) == surjections_by_inclusion_exclusion(p, l)
+
+
+# Up, down, repeated, and jumping back to a smaller p: each visit either
+# reads the kept row, steps on from it, or restarts from T(1, .).
+ROW_VISITS = [*range(1, 61), *range(60, 0, -1), 7, 7, 3, 60, 60, 1, 45, 2, 2, 59]
+
+
+class TestRowForms:
+    """`facet_counts(p)` and `figurates(p, n)` list, by codimension l, what
+    `facet_count(p, l)` and `figurate(p - l, n)` return one at a time."""
+
+    @pytest.fixture(autouse=True)
+    def no_row(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_facet_row", (0, []))
+
+    def test_facet_counts_match_the_scalar_form_and_inclusion_exclusion(self):
+        for p in ROW_VISITS:
+            row = facet_counts(p)
+            assert row == [facet_count(p, l) for l in range(p)] == [
+                surjections_by_inclusion_exclusion(p, l) for l in range(p)]
+
+    def test_figurates_match_the_scalar_form_and_binomials(self):
+        for p in ROW_VISITS:
+            for n in range(1, 5):
+                assert figurates(p, n) == [figurate(p - l, n) for l in range(p)] == [
+                    comb(n + p - l - 1, p - l) for l in range(p)]
+
+    def test_a_caller_that_changes_the_row_changes_no_later_count(self):
+        expected = {p: [surjections_by_inclusion_exclusion(p, l) for l in range(p)]
+                    for p in (7, 8)}
+        row = facet_counts(7)
+        row[0] = -1
+        row.reverse()
+        row.append(0)
+        assert facet_count(7, 0) == 5040
+        assert facet_counts(7) == expected[7]
+        facet_counts(7).clear()
+        # Stepped on from the kept row of 7.
+        assert facet_counts(8) == expected[8]
+        assert [facet_count(8, l) for l in range(8)] == expected[8]
+
+
+@pytest.mark.parametrize("form,args,position", [
+    (facet_counts, (1,), 0), (figurates, (1, 1), 0), (figurates, (1, 1), 1),
+], ids=["facet_counts-p", "figurates-p", "figurates-n"])
+@pytest.mark.parametrize("bad", [bool, float, lambda v: 0, lambda v: -v - 1],
+                         ids=["bool", "float", "zero", "negative"])
+def test_row_forms_reject_bools_floats_zero_and_negatives(form, args, position, bad):
+    """As for the scalar forms, the valid call runs first."""
+    form(*args)
+    wrong = list(args)
+    wrong[position] = bad(args[position])
+    with pytest.raises(DomainError):
+        form(*wrong)
+
+
+@pytest.mark.parametrize("form,args,message", [
+    (figurate, (True, 1), "figurate requires integer k and n, got (k=True, n=1)"),
+    (figurate, (1, 2.0), "figurate requires integer k and n, got (k=1, n=2.0)"),
+    (figurate, (0, 1), "figurate dimension must be >= 1, got k=0"),
+    (figurate, (1, -1), "figurate side must be >= 1, got n=-1"),
+    (facet_count, (1.0, 0), "facet_count requires integer p and l, got (p=1.0, l=0)"),
+    (facet_count, (0, 0), "dimension must be >= 1, got p=0"),
+    (facet_count, (3, 3), "codimension must satisfy 0 <= l <= p-1, got l=3 for p=3"),
+])
+def test_scalar_forms_keep_their_messages(form, args, message):
+    with pytest.raises(DomainError) as refused:
+        form(*args)
+    assert str(refused.value) == message

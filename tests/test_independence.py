@@ -74,7 +74,7 @@ def routes(monkeypatch):
 
 def test_algebraic_route_shares_only_validation(routes):
     algebraic = routes.pop("verify_algebraic")
-    assert "figulat.combinatorics.facet_count" in algebraic
+    assert {"figulat.combinatorics.facet_counts", "figulat.combinatorics.figurates"} <= algebraic
     for other in routes.values():
         assert algebraic & other == VALIDATE
 

@@ -1,16 +1,20 @@
 """The package root exports nothing, importing a module loads only the
 modules it needs, only the algebraic route and the CLI reach the closed
-forms, and the oracles reach nothing of the package but its errors."""
+forms (and neither computes one of its own), and the oracles reach nothing
+of the package but its errors."""
 import ast
 import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import figulat
+from figulat import combinatorics
+from figulat.verifier import verify_algebraic
 
 
 def modules_loaded_by(statement):
@@ -87,6 +91,39 @@ def test_only_the_algebraic_route_and_the_cli_import_closed_forms():
     """Besides `combinatorics` itself, only `verifier` and `cli` import
     it."""
     assert importers_of("combinatorics") == {"verifier", "cli"}
+
+
+@pytest.mark.parametrize("module", ["verifier", "cli"])
+def test_routes_and_cli_import_nothing_from_math(module):
+    """So no route or command computes a second copy of a closed form."""
+    from_math = [
+        node for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        or isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "math" for alias in node.names)
+    ]
+    assert from_math == []
+
+
+def test_algebraic_route_reads_one_row_and_one_column_per_cell(monkeypatch):
+    """No scalar closed form is called per term, counted without timing."""
+    monkeypatch.setattr(combinatorics, "_facet_row", (0, []))
+    cells = [(p, n) for p in range(1, 31) for n in range(1, 4)]
+    called = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__") == "figulat.combinatorics":
+            called[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        reports = [verify_algebraic(p, n) for p, n in cells]
+    finally:
+        sys.setprofile(previous)
+    assert all(report.ok for report in reports)
+    assert called["facet_counts"] == called["figurates"] == len(cells)
+    assert called["facet_count"] == called["figurate"] == 0
 
 
 def test_oracles_import_only_errors_and_only_the_cli_imports_them():
