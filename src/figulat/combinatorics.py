@@ -96,12 +96,21 @@ def surjection_count(m: int, j: int) -> int:
 _facet_row: tuple[int, list[int]] = (0, [])
 
 
-def _surjection_row(p: int) -> list[int]:
-    """The kept row T(p, .) for p >= 1, stepped by T(m, j) = j * (T(m-1, j)
-    + T(m-1, j-1)) on from the kept row when p is larger, else from
-    T(1, .) = [1]. Only the last row is kept, and nothing recurses. The
-    caller owns the checks and must not change the row."""
+def facet_count(p: int, l: int) -> int:
+    """Number c_{p,l} of codimension-l faces of the order decomposition of
+    the p-cube: (p-l)! * S(p, p-l), the surjection count T(p, p-l). The
+    row of p is stepped by T(m, j) = j * (T(m-1, j) + T(m-1, j-1)), on
+    from the kept row when p is larger, else from T(1, .) = [1]. Only the
+    last row is kept, and nothing recurses; every reader of the kept row
+    reaches it through this function's checks."""
     global _facet_row
+    if (isinstance(p, bool) or isinstance(l, bool)
+            or not isinstance(p, int) or not isinstance(l, int)):
+        raise DomainError(f"facet_count requires integer p and l, got (p={p!r}, l={l!r})")
+    if p < 1:
+        raise DomainError(f"dimension must be >= 1, got p={p}")
+    if l < 0 or l >= p:
+        raise DomainError(f"codimension must satisfy 0 <= l <= p-1, got l={l} for p={p}")
     row_p, row = _facet_row
     if row_p != p:
         if not 1 <= row_p < p:
@@ -110,29 +119,13 @@ def _surjection_row(p: int) -> list[int]:
             # T(m-1, 0) = T(m-1, m) = 0 pad the row at both ends.
             row = [j * (a + b) for j, a, b in zip(range(1, m + 1), row + [0], [0] + row)]
         _facet_row = (p, row)
-    return row
-
-
-def facet_count(p: int, l: int) -> int:
-    """Number c_{p,l} of codimension-l faces of the order decomposition of
-    the p-cube: (p-l)! * S(p, p-l), the surjection count T(p, p-l), read
-    from the kept row of p."""
-    if (isinstance(p, bool) or isinstance(l, bool)
-            or not isinstance(p, int) or not isinstance(l, int)):
-        raise DomainError(f"facet_count requires integer p and l, got (p={p!r}, l={l!r})")
-    if p < 1:
-        raise DomainError(f"dimension must be >= 1, got p={p}")
-    if l < 0 or l >= p:
-        raise DomainError(f"codimension must satisfy 0 <= l <= p-1, got l={l} for p={p}")
-    return _surjection_row(p)[p - l - 1]
+    return row[p - l - 1]
 
 
 def facet_counts(p: int) -> list[int]:
     """The face-count row [c_{p,0}, ..., c_{p,p-1}] as a new list, in order
-    of codimension l: the kept row of p reversed. The argument is checked
-    once."""
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise DomainError(f"facet_counts requires an integer p, got p={p!r}")
-    if p < 1:
-        raise DomainError(f"dimension must be >= 1, got p={p}")
-    return _surjection_row(p)[::-1]
+    of codimension l: the kept row of p reversed. One call of
+    `facet_count(p, 0)` checks p and steps the kept row to p, so there is
+    no second row, recurrence or check."""
+    facet_count(p, 0)
+    return _facet_row[1][::-1]
