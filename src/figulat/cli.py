@@ -105,6 +105,7 @@ def cmd_verify(args, out, err) -> int:
             "rhs": cell.rhs,
             "ok": cell.ok,
         })
+        del cell  # before the next cell runs: one report is alive at a time
     emit_records(records, args.format, out)
     if any_failed:
         return EXIT_FAILURE
@@ -276,12 +277,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv, out, err)
+    # Print exact results of any length; Python builds that have this
+    # setter refuse by default to convert ints over 4300 digits to text.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv, out, err)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv, out, err) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    if hasattr(sys, "set_int_max_str_digits"):
-        # Print exact results of any length; Python builds that have this
-        # setter refuse by default to convert ints over 4300 digits to text.
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

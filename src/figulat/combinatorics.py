@@ -10,16 +10,14 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import DomainError, ExactnessError
+from .errors import DomainError, ExactnessError, check_integers
 
 
 def figurate(k: int, n: int) -> int:
     """Figurate number F^k_n = C(n+k-1, k): the number of weakly decreasing
     k-tuples with entries in {0..n-1}, i.e. lattice points of a k-simplex of
     side n."""
-    if (isinstance(k, bool) or isinstance(n, bool)
-            or not isinstance(k, int) or not isinstance(n, int)):
-        raise DomainError(f"figurate requires integer k and n, got (k={k!r}, n={n!r})")
+    check_integers("figurate requires integer k and n, got (k={!r}, n={!r})", k, n)
     if k < 1:
         raise DomainError(f"figurate dimension must be >= 1, got k={k}")
     if n < 1:
@@ -31,9 +29,7 @@ def figurates(p: int, n: int) -> list[int]:
     """The figurate column [F^p_n, ..., F^1_n] as a new list: entry l is
     F^{p-l}_n, the points of a codimension-l face of the p-cube at side n.
     The arguments are checked once; the entries are read by `comb` in C."""
-    if (isinstance(p, bool) or isinstance(n, bool)
-            or not isinstance(p, int) or not isinstance(n, int)):
-        raise DomainError(f"figurates requires integer p and n, got (p={p!r}, n={n!r})")
+    check_integers("figurates requires integer p and n, got (p={!r}, n={!r})", p, n)
     if p < 1:
         raise DomainError(f"figurate dimension must be >= 1, got p={p}")
     if n < 1:
@@ -48,9 +44,7 @@ def stirling2_recurrence(m: int, j: int) -> int:
     the surjection row T(m, .) that `facet_count` steps by the triangular
     recurrence; the division is exact. Memoized by argument type too, so a
     bool or a float never reads the entry of an equal int."""
-    if (isinstance(m, bool) or isinstance(j, bool)
-            or not isinstance(m, int) or not isinstance(j, int)):
-        raise DomainError(f"stirling2 requires integer arguments, got ({m!r}, {j!r})")
+    check_integers("stirling2 requires integer arguments, got ({!r}, {!r})", m, j)
     if m < 0 or j < 0:
         raise DomainError(f"stirling2 requires nonnegative arguments, got ({m}, {j})")
     return surjection_count(m, j) // factorial(j)
@@ -61,9 +55,7 @@ def stirling2_inclusion_exclusion(m: int, j: int) -> int:
 
     Independent of the recurrence route; used to cross-check it. The final
     division by j! must be exact."""
-    if (isinstance(m, bool) or isinstance(j, bool)
-            or not isinstance(m, int) or not isinstance(j, int)):
-        raise DomainError(f"stirling2 requires integer arguments, got ({m!r}, {j!r})")
+    check_integers("stirling2 requires integer arguments, got ({!r}, {!r})", m, j)
     if m < 0:
         raise DomainError(f"stirling2 requires nonnegative m, got {m}")
     if j < 1:
@@ -80,9 +72,7 @@ def stirling2_inclusion_exclusion(m: int, j: int) -> int:
 def surjection_count(m: int, j: int) -> int:
     """Number of surjections from an m-set onto a j-set: j! * S(m, j),
     read from the face-count row of m."""
-    if (isinstance(m, bool) or isinstance(j, bool)
-            or not isinstance(m, int) or not isinstance(j, int)):
-        raise DomainError(f"surjection_count requires integer arguments, got ({m!r}, {j!r})")
+    check_integers("surjection_count requires integer arguments, got ({!r}, {!r})", m, j)
     if m < 0 or j < 0:
         raise DomainError(f"surjection_count requires nonnegative arguments, got ({m}, {j})")
     if 1 <= j <= m:
@@ -104,9 +94,7 @@ def facet_count(p: int, l: int) -> int:
     last row is kept, and nothing recurses; every reader of the kept row
     reaches it through this function's checks."""
     global _facet_row
-    if (isinstance(p, bool) or isinstance(l, bool)
-            or not isinstance(p, int) or not isinstance(l, int)):
-        raise DomainError(f"facet_count requires integer p and l, got (p={p!r}, l={l!r})")
+    check_integers("facet_count requires integer p and l, got (p={!r}, l={!r})", p, l)
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
     if l < 0 or l >= p:

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and its one argument check."""
 
 # Below this, an int prints in decimal: Python's default limit on int-to-text
 # conversion is 4,300 digits, and printing is quadratic in the digits.
@@ -14,6 +14,16 @@ def _size(value: int) -> str:
 
 class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
+
+
+def check_integers(template: str, *values) -> None:
+    """Raise DomainError unless every value is an int and none is a bool.
+    The message is `template` formatted with the values, each by position
+    and all as the tuple `values`; it is built only on failure."""
+    for value in values:
+        # An exact int, the common case, takes one test.
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise DomainError(template.format(*values, values=values))
 
 
 class BudgetExceededError(RuntimeError):

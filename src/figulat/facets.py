@@ -19,14 +19,14 @@ which skips the checks.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from math import comb, factorial
-from typing import Sequence
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, check_integers
 
 # Default budget: every call with p <= 9 fits (9! * 2^8 raw expressions).
 DEFAULT_MAX_EXPRESSIONS = factorial(9) * 2 ** 8
+_EXPRESSION_CAP = "expression cap must be an integer >= 1, got {!r}"
 
 
 class _Value:
@@ -53,20 +53,13 @@ class _Value:
         return cls(*iterable)
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple; DomainError unless each is an int, not a bool."""
-    values = tuple(values)
-    if not all(map(isinstance, values, repeat(int))) or bool in map(type, values):
-        raise DomainError(f"{what} must be integers, got {values}")
-    return values
-
-
 class OrderedSetPartition(_Value, namedtuple("OrderedSetPartition", "blocks")):
     __slots__ = ()
 
     def __new__(cls, blocks: tuple[tuple[int, ...], ...]):
         blocks = tuple(map(tuple, blocks))
-        indices = _integers(chain.from_iterable(blocks), "block indices")
+        indices = tuple(chain.from_iterable(blocks))
+        check_integers("block indices must be integers, got {values}", *indices)
         if not blocks:
             raise DomainError("a face must have at least one block")
         for block in blocks:
@@ -96,17 +89,15 @@ class OrderedSetPartition(_Value, namedtuple("OrderedSetPartition", "blocks")):
 
 def _check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
     """Raise unless the p! * C(p-1, l) chain expressions fit the cap."""
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise DomainError(f"dimension must be an integer, got {p!r}")
+    check_integers("dimension must be an integer, got {!r}", p)
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
-    if isinstance(l, bool) or not isinstance(l, int):
-        raise DomainError(f"codimension must be an integer, got {l!r}")
+    check_integers("codimension must be an integer, got {!r}", l)
     if l < 0 or l >= p:
         raise DomainError(f"codimension must satisfy 0 <= l <= p-1, got l={l} for p={p}")
-    if (isinstance(max_expressions, bool) or not isinstance(max_expressions, int)
-            or max_expressions < 1):
-        raise DomainError(f"expression cap must be an integer >= 1, got {max_expressions!r}")
+    check_integers(_EXPRESSION_CAP, max_expressions)
+    if max_expressions < 1:
+        raise DomainError(_EXPRESSION_CAP.format(max_expressions))
     required = factorial(p) * comb(p - 1, l)
     if required > max_expressions:
         raise BudgetExceededError(
@@ -181,13 +172,3 @@ def facet_to_surjection(facet: OrderedSetPartition) -> tuple[int, ...]:
         for idx in block:
             values[idx - 1] = i
     return tuple(values)
-
-
-def surjection_to_facet(surjection: Sequence[int]) -> OrderedSetPartition:
-    """Block i is the preimage of value i. The face's own check refuses an
-    empty map, a value below 1 and a skipped value."""
-    values = _integers(surjection, "surjection values")
-    return OrderedSetPartition(tuple(
-        tuple(i for i, v in enumerate(values, start=1) if v == value)
-        for value in range(1, max(values, default=0) + 1)
-    ))

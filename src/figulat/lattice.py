@@ -1,5 +1,5 @@
-"""Lattice-point geometry of the cube faces: membership, per-face point
-enumeration, and the signed cover multiplicity of a point.
+"""Lattice-point geometry of the cube faces: per-face point enumeration,
+and the signed cover multiplicity of a point.
 
 A face is the set {x : x_i >= x_j for every relation its chain forces},
 so whether it contains a point depends only on the point's weak order
@@ -22,27 +22,27 @@ from itertools import combinations_with_replacement, product, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, check_integers
 from .facets import (
     DEFAULT_MAX_EXPRESSIONS,
     OrderedSetPartition,
     _Value,
-    _integers,
     check_every_codimension,
     enumerate_facets,
 )
 
 # Full-cube scans and per-face enumerations stop at this many points.
 DEFAULT_MAX_POINTS = 10 ** 7
+_POINT_CAP = "point cap must be an integer >= 1, got {!r}"
 
 
 class LatticePoint(_Value, namedtuple("LatticePoint", "coords side")):
     __slots__ = ()
 
     def __new__(cls, coords: tuple[int, ...], side: int):
-        coords = _integers(coords, "coordinates")
-        if isinstance(side, bool) or not isinstance(side, int):
-            raise DomainError(f"side must be an integer, got {side!r}")
+        coords = tuple(coords)
+        check_integers("coordinates must be integers, got {values}", *coords)
+        check_integers("side must be an integer, got {!r}", side)
         if side < 1:
             raise DomainError(f"side must be >= 1, got {side}")
         if coords and (min(coords) < 0 or max(coords) >= side):
@@ -53,36 +53,20 @@ class LatticePoint(_Value, namedtuple("LatticePoint", "coords side")):
         return ",".join(str(c) for c in self.coords)
 
 
-def facet_contains(facet: OrderedSetPartition, point: LatticePoint) -> bool:
-    """True iff coordinates are constant on every block and the block values
-    weakly decrease along the block order."""
-    if facet.ground_size != len(point.coords):
-        raise DomainError(
-            f"face partitions {facet.ground_size} indices but point has "
-            f"{len(point.coords)} coordinates"
-        )
-    values = []
-    for block in facet.blocks:
-        first = point.coords[block[0] - 1]
-        if any(point.coords[i - 1] != first for i in block[1:]):
-            return False
-        values.append(first)
-    return all(a >= b for a, b in zip(values, values[1:]))
-
-
 def enumerate_points(
     facet: OrderedSetPartition, n: int, max_points: int = DEFAULT_MAX_POINTS
 ) -> Iterator[LatticePoint]:
     """Yield the lattice points of the face, each once. Read from the last
     block to the first, the block values weakly increase: they are the
     size-k multisets of {0..n-1}, yielded in lexicographic order."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"side must be an integer, got {n!r}")
+    check_integers("side must be an integer, got {!r}", n)
     if n < 1:
         raise DomainError(f"side must be >= 1, got {n}")
-    if isinstance(max_points, bool) or not isinstance(max_points, int) or max_points < 1:
-        raise DomainError(f"point cap must be an integer >= 1, got {max_points!r}")
-    k = facet.num_blocks
+    check_integers(_POINT_CAP, max_points)
+    if max_points < 1:
+        raise DomainError(_POINT_CAP.format(max_points))
+    blocks = facet.blocks
+    k = len(blocks)
     if n ** k > max_points:
         raise BudgetExceededError(
             f"point enumeration for a {k}-block face at side {n} exceeds the "
@@ -91,8 +75,8 @@ def enumerate_points(
     # where[i] is the position, counted from the last block, of the block
     # holding index i + 1. With one index the value tuple is already the
     # coordinate tuple; itemgetter of one index would return a bare value.
-    where = [0] * facet.ground_size
-    for position, block in enumerate(reversed(facet.blocks)):
+    where = [0] * sum(map(len, blocks))
+    for position, block in enumerate(reversed(blocks)):
         for idx in block:
             where[idx - 1] = position
     coords_of = itemgetter(*where) if len(where) > 1 else tuple
@@ -104,16 +88,15 @@ def enumerate_points(
 
 def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterator[LatticePoint]:
     """All n^p lattice points of the cube, in lexicographic order."""
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise DomainError(f"dimension must be an integer, got {p!r}")
+    check_integers("dimension must be an integer, got {!r}", p)
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"side must be an integer, got {n!r}")
+    check_integers("side must be an integer, got {!r}", n)
     if n < 1:
         raise DomainError(f"side must be >= 1, got {n}")
-    if isinstance(max_points, bool) or not isinstance(max_points, int) or max_points < 1:
-        raise DomainError(f"point cap must be an integer >= 1, got {max_points!r}")
+    check_integers(_POINT_CAP, max_points)
+    if max_points < 1:
+        raise DomainError(_POINT_CAP.format(max_points))
     if n ** p > max_points:
         raise BudgetExceededError(
             f"cube scan for (p={p}, n={n}) exceeds the point cap", n ** p, max_points

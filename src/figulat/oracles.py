@@ -4,8 +4,10 @@ Every closed form and the face generator have a counterpart here that
 shares no code with them: surjections by filtering all maps, set
 partitions by direct recursion, figurate counts by scanning all tuples,
 faces by collapsing every chain expression of the paper, and the signed
-cover by the group-factorization shortcut. Slowness is the point; these
-exist to be obviously correct. They return plain values and import only
+cover by the group-factorization shortcut. Face membership is read off a
+point's coordinates block by block, and a surjection becomes a face by
+taking the preimage of each value. Slowness is the point; these exist to
+be obviously correct. They take and return plain values and import only
 `errors`.
 """
 from __future__ import annotations
@@ -108,6 +110,31 @@ def oracle_collapsed_faces(
             blocks = tuple(tuple(sorted(sigma[a:b])) for a, b in zip(bounds, bounds[1:]))
             counts[blocks] = counts.get(blocks, 0) + 1
     return counts
+
+
+def oracle_facet_contains(blocks: tuple[tuple[int, ...], ...], coords: tuple[int, ...]) -> bool:
+    """True iff the face with these blocks holds the point with these
+    coordinates: the coordinates are constant on every block and the block
+    values weakly decrease along the block order."""
+    size = sum(map(len, blocks))
+    if size != len(coords):
+        raise DomainError(f"face partitions {size} indices but point has {len(coords)} coordinates")
+    # The set of coordinate values on each block, in block order.
+    levels = [{coords[i - 1] for i in block} for block in blocks]
+    return all(len(level) == 1 for level in levels) and all(
+        map(ge, map(min, levels), map(min, levels[1:])))
+
+
+def oracle_surjection_to_facet(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The blocks of the face of a surjection {1..p} -> {1..k}, given by
+    its values: block i is the preimage of value i. Refuses an empty map,
+    a value that is not an integer, and a map that is not onto {1..k}."""
+    values = tuple(values)
+    if (not values or any(isinstance(v, bool) or not isinstance(v, int) for v in values)
+            or set(values) != set(range(1, max(values) + 1))):
+        raise DomainError(f"surjection values must be integers onto 1..k, got {values}")
+    return tuple(tuple(i for i, v in enumerate(values, 1) if v == value)
+                 for value in range(1, max(values) + 1))
 
 
 def _group_factor(size: int) -> int:

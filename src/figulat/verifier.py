@@ -14,7 +14,7 @@ from operator import mul, neg
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .combinatorics import facet_counts, figurates
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, check_integers
 from .facets import DEFAULT_MAX_EXPRESSIONS, check_every_codimension, enumerate_facets
 from .lattice import DEFAULT_MAX_POINTS, cube_points, enumerate_points, point_multiplicity
 
@@ -50,8 +50,7 @@ class SkippedCell(NamedTuple):
 
 
 def _validate(p: int, n: int) -> None:
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in (p, n)):
-        raise DomainError(f"verification requires integer p and n, got (p={p!r}, n={n!r})")
+    check_integers("verification requires integer p and n, got (p={!r}, n={!r})", p, n)
     if p < 1 or n < 1:
         raise DomainError(f"verification requires p >= 1 and n >= 1, got (p={p}, n={n})")
 
@@ -183,5 +182,6 @@ def sweep(
                     except BudgetExceededError as exc:
                         cell = SkippedCell(p, n, route, str(exc))
                     yield cell
+                    del cell  # before the next cell runs: one report is alive at a time
 
     return generate()

@@ -14,16 +14,14 @@ from figulat.combinatorics import (
     stirling2_inclusion_exclusion,
     stirling2_recurrence,
 )
-from figulat.facets import enumerate_facets, facet_to_surjection, surjection_to_facet
-from figulat.lattice import (
-    cube_points,
-    facet_contains,
-    point_multiplicity,
-)
+from figulat.facets import OrderedSetPartition, enumerate_facets, facet_to_surjection
+from figulat.lattice import cube_points, point_multiplicity
 from figulat.oracles import (
     oracle_collapsed_faces,
+    oracle_facet_contains,
     oracle_set_partitions,
     oracle_signed_cover,
+    oracle_surjection_to_facet,
     oracle_surjections,
     oracle_weakly_decreasing_tuples,
 )
@@ -118,7 +116,7 @@ def test_criterion_7_figurate_oracle():
                 for n in range(1, 5):
                     scanned = sum(
                         1 for point in cube_points(p, n)
-                        if facet_contains(face, point)
+                        if oracle_facet_contains(face.blocks, point.coords)
                     )
                     assert figurate(face.num_blocks, n) == scanned
     report(7, "figurate matches tuple-scan oracle; face point counts match cube scans")
@@ -128,9 +126,10 @@ def test_criterion_8_bijection_round_trips():
     for p in range(1, 8):
         for l in range(p):
             for face in enumerate_facets(p, l):
-                assert surjection_to_facet(facet_to_surjection(face)) == face
+                assert oracle_surjection_to_facet(facet_to_surjection(face)) == face.blocks
             for values in oracle_surjections(p, p - l):
-                assert facet_to_surjection(surjection_to_facet(values)) == values
+                face = OrderedSetPartition(oracle_surjection_to_facet(values))
+                assert facet_to_surjection(face) == values
     report(8, "facet/surjection round-trips hold exhaustively for p <= 7")
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import shlex
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -366,6 +367,42 @@ def test_results_over_4300_digits_print_exactly(fmt, default_int_digit_limit):
     expected = "1" + "0" * (12 * p)
     assert record["lhs"] == record["rhs"] == expected
     assert len(expected) > 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-text digit limit")
+def test_main_restores_the_int_digit_limit(default_int_digit_limit, monkeypatch):
+    """`main` lifts the limit only while it runs, however it exits."""
+    limit = sys.get_int_max_str_digits()
+    assert run(["verify", "--p", "400", "--n", str(10 ** 12), "--route", "algebraic"])[0] == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert run(["verify", "--p", "0", "--n", "1"])[0] == 2
+    assert sys.get_int_max_str_digits() == limit
+
+    def crash(p, n):
+        raise RuntimeError("injected")
+    monkeypatch.setattr(verifier, "verify_algebraic", crash)
+    assert run(["verify", "--p", "2", "--n", "2", "--route", "algebraic"])[0] == 4
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_sweep_holds_one_report_at_a_time():
+    """A two-cell sweep peaks at about the memory of one cell: each report,
+    with its terms, is dropped before the next cell is computed. At p=100
+    one report holds 100 terms of up to 500 digits; two alive at once peak
+    near 1.6 times one."""
+    argv = ["verify", "--p", "100", "--route", "algebraic", "--format", "json-lines", "--n"]
+    n = 10 ** 5
+    run(argv + [str(n)])  # steps the kept face-count row to p
+
+    def peak(cells):
+        tracemalloc.start()
+        try:
+            assert run(argv + [cells])[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(f"{n}..{n + 1}") < 1.3 * peak(str(n))
 
 
 class TestTableCommand:

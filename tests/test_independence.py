@@ -18,7 +18,7 @@ from figulat.verifier import verify_algebraic, verify_geometric, verify_pointwis
 
 CELLS = [(1, 1), (2, 3), (3, 2), (4, 3)]
 
-VALIDATE = {"figulat.verifier._validate"}
+VALIDATE = {"figulat.verifier._validate", "figulat.errors.check_integers"}
 FACE_GENERATION = {
     "figulat.facets.enumerate_facets",
     "figulat.facets._block_sequences",
@@ -103,6 +103,8 @@ def test_pointwise_and_the_signed_cover_oracle_share_nothing(routes, monkeypatch
     (oracles.oracle_set_partitions, (4,)),
     (oracles.oracle_weakly_decreasing_tuples, (3, 4)),
     (oracles.oracle_collapsed_faces, (4, 2)),
+    (oracles.oracle_facet_contains, (((2,), (1, 3)), (1, 0, 1))),
+    (oracles.oracle_surjection_to_facet, ((2, 1, 2),)),
 ])
 def test_each_oracle_calls_only_its_own_module(oracle, args, monkeypatch):
     called = calls(lambda: oracle(*args), monkeypatch)

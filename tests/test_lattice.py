@@ -10,13 +10,8 @@ from figulat import lattice
 from figulat.combinatorics import figurate, surjection_count
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, enumerate_facets
-from figulat.lattice import (
-    LatticePoint,
-    cube_points,
-    enumerate_points,
-    facet_contains,
-    point_multiplicity,
-)
+from figulat.lattice import LatticePoint, cube_points, enumerate_points, point_multiplicity
+from figulat.oracles import oracle_facet_contains
 from figulat.verifier import verify_geometric, verify_pointwise
 
 
@@ -41,9 +36,9 @@ def faces_by_codimension(p):
 
 
 def signed_count(faces_by_l, q):
-    """Signed cover multiplicity counted with facet_contains, uncached."""
+    """Signed cover multiplicity counted with the membership oracle, uncached."""
     return sum(
-        (-1) ** l * sum(1 for f in faces if facet_contains(f, q))
+        (-1) ** l * sum(1 for f in faces if oracle_facet_contains(f.blocks, q.coords))
         for l, faces in enumerate(faces_by_l)
     )
 
@@ -53,7 +48,7 @@ def scan_cube(f, p, n):
     return [
         coords
         for coords in product(range(n), repeat=p)
-        if facet_contains(f, pt(coords, n))
+        if oracle_facet_contains(f.blocks, coords)
     ]
 
 
@@ -82,24 +77,6 @@ class TestLatticePoint:
 
     def test_text(self):
         assert pt((1, 0, 2), 3).text() == "1,0,2"
-
-
-class TestFacetContains:
-    def test_weakly_decreasing(self):
-        f = OrderedSetPartition(((1,), (2,)))
-        assert facet_contains(f, pt((1, 0), 2))
-        assert facet_contains(f, pt((1, 1), 2))
-        assert not facet_contains(f, pt((0, 1), 2))
-
-    def test_equality_block(self):
-        f = OrderedSetPartition(((1, 2),))
-        assert not facet_contains(f, pt((1, 0), 2))
-        assert facet_contains(f, pt((1, 1), 2))
-
-    def test_dimension_mismatch(self):
-        f = OrderedSetPartition(((1, 2),))
-        with pytest.raises(DomainError):
-            facet_contains(f, pt((1, 0, 0), 2))
 
 
 class TestEnumeratePoints:
@@ -294,7 +271,7 @@ class TestPointMultiplicity:
         for p in range(1, 5):
             top = enumerate_facets(p, 0)
             for q in cube_points(p, 3):
-                assert any(facet_contains(f, q) for f in top)
+                assert any(oracle_facet_contains(f.blocks, q.coords) for f in top)
 
     def test_rejects_dimension_zero(self):
         with pytest.raises(DomainError, match=r"^dimension must be >= 1, got p=0$"):
@@ -325,7 +302,7 @@ class TestFaceRelationIndex:
                 for q in cube_points(p, n):
                     kind = lattice._weak_order(q.coords)
                     for f, bits in pairs:
-                        assert (bits & ~kind == 0) == facet_contains(f, q)
+                        assert (bits & ~kind == 0) == oracle_facet_contains(f.blocks, q.coords)
 
     def test_multiplicity_matches_uncached_count_at_p6(self):
         faces = faces_by_codimension(6)

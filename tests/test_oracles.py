@@ -7,8 +7,10 @@ from figulat.lattice import LatticePoint, cube_points, point_multiplicity
 from figulat.oracles import (
     DEFAULT_MAX_MAPS,
     oracle_collapsed_faces,
+    oracle_facet_contains,
     oracle_set_partitions,
     oracle_signed_cover,
+    oracle_surjection_to_facet,
     oracle_surjections,
     oracle_weakly_decreasing_tuples,
 )
@@ -129,6 +131,43 @@ def test_oracles_reject_bools_and_non_integers(oracle, args, position, bad):
     wrong[position] = bad(args[position])
     with pytest.raises(DomainError):
         oracle(*wrong)
+
+
+class TestOracleFacetContains:
+    def test_weakly_decreasing(self):
+        blocks = ((1,), (2,))
+        assert oracle_facet_contains(blocks, (1, 0))
+        assert oracle_facet_contains(blocks, (1, 1))
+        assert not oracle_facet_contains(blocks, (0, 1))
+
+    def test_equality_block(self):
+        blocks = ((1, 2),)
+        assert not oracle_facet_contains(blocks, (1, 0))
+        assert oracle_facet_contains(blocks, (1, 1))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainError):
+            oracle_facet_contains(((1, 2),), (1, 0, 0))
+
+
+class TestOracleSurjectionToFacet:
+    def test_examples(self):
+        assert oracle_surjection_to_facet((1, 1, 2)) == ((1, 2), (3,))
+        assert oracle_surjection_to_facet([1, 2, 3]) == ((1,), (2,), (3,))
+        assert oracle_surjection_to_facet((2, 1, 2)) == ((2,), (1, 3))
+
+    @pytest.mark.parametrize("values", [
+        pytest.param((1, 3), id="skips-2"),
+        pytest.param((), id="empty"),
+        pytest.param((0, 1), id="zero"),
+        pytest.param((-1,), id="negative"),
+        pytest.param((2, 2), id="misses-1"),
+        pytest.param((1, True), id="bool"),
+        pytest.param((1, 2.0), id="float"),
+    ])
+    def test_refuses_a_map_that_is_not_onto_1_to_k(self, values):
+        with pytest.raises(DomainError):
+            oracle_surjection_to_facet(values)
 
 
 class TestOracleSignedCover:

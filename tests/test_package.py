@@ -1,19 +1,23 @@
 """The package root exports nothing, importing a module loads only the
 modules it needs, only the algebraic route and the CLI reach the closed
 forms (and neither computes one of its own), and the oracles reach nothing
-of the package but its errors."""
+of the package but its errors. Every function outside the oracles is run
+by a README command, and one function holds the bool-and-integer check."""
 import ast
 import inspect
+import io
 import os
 import subprocess
 import sys
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import figulat
-from figulat import combinatorics
+from figulat import combinatorics, lattice
+from figulat.cli import main
 from figulat.verifier import verify_algebraic
 
 
@@ -192,3 +196,98 @@ def test_no_module_imports_a_name_it_never_uses():
         for name in unused_imports(ast.parse(path.read_text()))
     }
     assert unused == set()
+
+
+# README commands, small: each route in each format, each table, a face
+# listing and an audit; then a refusal by each budget.
+COMMANDS = [
+    f"verify --p 1..3 --n 1..2 --route {route} --format {fmt}"
+    for route in ("algebraic", "geometric", "pointwise")
+    for fmt in ("plain-table", "csv", "json-lines")
+] + [
+    "table --kind stirling --m 4",
+    "table --kind facet-counts --p 4",
+    "table --kind figurate --k 2 --n 1..4",
+    "facets --p 3 --l 1 --with-surjections --with-counts 2",
+    "audit --m-max 3 --k-max 3 --n-max 3 --p-max 3 --cover-p-max 2 --cover-n-max 2",
+]
+REFUSALS = ["facets --p 4 --l 1 --max-expressions 1", "verify --p 3 --n 3 --max-points 8"]
+# The value types' validating constructors are public library API that no
+# command builds through: the generators build faces and points with
+# `tuple.__new__`, since what they build is valid by construction.
+NOT_RUN_BY_A_COMMAND = {
+    "figulat.facets.OrderedSetPartition.__new__",
+    "figulat.lattice.LatticePoint.__new__",
+}
+
+
+def module_functions(module):
+    """The functions `module` defines at its top level, a cached one by
+    the function it wraps, and the constructors its classes define, as
+    'module.qualname'."""
+    found = set()
+    for value in vars(module).values():
+        value = inspect.unwrap(value)
+        if inspect.isclass(value):
+            value = getattr(vars(value).get("__new__"), "__func__", None)
+        if inspect.isfunction(value) and value.__module__ == module.__name__:
+            found.add(f"{module.__name__}.{value.__qualname__}")
+    return found
+
+
+def test_every_function_outside_the_oracles_is_run_by_a_command(monkeypatch):
+    monkeypatch.setattr(combinatorics, "_facet_row", (0, []))
+    lattice._face_index.cache_clear()
+    run = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("figulat."):
+            run.add(f"{module}.{getattr(frame.f_code, 'co_qualname', frame.f_code.co_name)}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv.split(), out=io.StringIO(), err=io.StringIO())
+                 for argv in COMMANDS + REFUSALS]
+    finally:
+        sys.setprofile(previous)
+    lattice._face_index.cache_clear()
+    assert codes == [0] * len(COMMANDS) + [3] * len(REFUSALS)
+    defined = set().union(*(
+        module_functions(import_module(f"figulat.{name}"))
+        for name in MODULES - {"oracles", "__init__"}
+    ))
+    assert defined - run == NOT_RUN_BY_A_COMMAND
+
+
+def bool_checks(tree, prefix=""):
+    """The qualified names of the functions under `tree` with one entry per
+    place that tests for a bool: an `isinstance(..., bool)` call, or a
+    comparison with `bool` on one side, such as `bool in map(type, ...)`."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += bool_checks(node, prefix + node.name + ".")
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1:]
+            kinds = kinds[0].elts if kinds and isinstance(kinds[0], ast.Tuple) else kinds
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                found.append(prefix.rstrip("."))
+        elif isinstance(node, ast.Compare) and any(
+                getattr(side, "id", None) == "bool" for side in [node.left, *node.comparators]):
+            found.append(prefix.rstrip("."))
+        found += bool_checks(node, prefix)
+    return found
+
+
+def test_one_function_outside_the_oracles_checks_for_bools():
+    """`errors.check_integers` is the package's one argument-type check;
+    the oracles keep checks of their own, apart from it."""
+    checks = Counter(
+        f"{path.stem}.{name}"
+        for path in PACKAGE.glob("*.py") if path.stem != "oracles"
+        for name in bool_checks(ast.parse(path.read_text()))
+    )
+    assert checks == {"errors.check_integers": 1}

@@ -2,16 +2,17 @@
 
 The exhaustive tests stop at p <= 5-7; these draw faces of {1..p} for
 p <= 12 and points of the cube [0, n-1]^p. Each validated constructor, and
-`surjection_to_facet`, is compared with a predicate written here,
-independent of the package.
+the oracle that turns a surjection into a face, is compared with a
+predicate written here, independent of the package.
 """
 import pytest
 from hypothesis import given, strategies as st
 
 from figulat.combinatorics import figurate
 from figulat.errors import DomainError
-from figulat.facets import OrderedSetPartition, facet_to_surjection, surjection_to_facet
-from figulat.lattice import LatticePoint, _relation, _weak_order, enumerate_points, facet_contains
+from figulat.facets import OrderedSetPartition, facet_to_surjection
+from figulat.lattice import LatticePoint, _relation, _weak_order, enumerate_points
+from figulat.oracles import oracle_facet_contains, oracle_surjection_to_facet
 
 MAX_P = 12
 
@@ -67,12 +68,13 @@ def faces_and_points(draw):
 
 @given(faces())
 def test_face_to_surjection_and_back(face):
-    assert surjection_to_facet(facet_to_surjection(face)) == face
+    assert oracle_surjection_to_facet(facet_to_surjection(face)) == face.blocks
 
 
 @given(surjections())
 def test_surjection_to_face_and_back(surjection):
-    assert facet_to_surjection(surjection_to_facet(surjection)) == surjection
+    face = OrderedSetPartition(oracle_surjection_to_facet(surjection))
+    assert facet_to_surjection(face) == surjection
 
 
 @given(faces(), st.integers(1, 5))
@@ -81,7 +83,7 @@ def test_enumerated_points_lie_on_the_face_and_count_figurate(face, n):
     count = 0
     # The point cap bounds n^k, not the figurate(k, n) points enumerated.
     for point in enumerate_points(face, n, max_points=n ** k):
-        assert facet_contains(face, point)
+        assert oracle_facet_contains(face.blocks, point.coords)
         count += 1
     assert count == figurate(k, n)
 
@@ -89,7 +91,7 @@ def test_enumerated_points_lie_on_the_face_and_count_figurate(face, n):
 @given(faces_and_points())
 def test_relation_test_matches_facet_contains(drawn):
     face, point, inside = drawn
-    contained = facet_contains(face, point)
+    contained = oracle_facet_contains(face.blocks, point.coords)
     assert contained or not inside
     relation = _relation(reversed(face.blocks), face.ground_size)
     assert (relation & ~_weak_order(point.coords) == 0) == contained
@@ -175,13 +177,10 @@ surjection_arguments = st.tuples(spoiled(st.one_of(
 
 @pytest.mark.parametrize("build, arguments, valid", [
     pytest.param(OrderedSetPartition, face_arguments(), valid_face, id="face"),
-    pytest.param(surjection_to_facet, surjection_arguments, valid_surjection, id="surjection"),
     pytest.param(LatticePoint, point_arguments(), valid_point, id="point"),
 ])
 @given(data=st.data())
 def test_constructor_accepts_exactly_the_valid_inputs(build, arguments, valid, data):
-    """`surjection_to_facet` is the one way a map becomes a face, so it
-    is held to the same test as the constructors."""
     args = data.draw(arguments)
     try:
         value = build(*args)
@@ -192,3 +191,16 @@ def test_constructor_accepts_exactly_the_valid_inputs(build, arguments, valid, d
     cls = type(value)
     assert cls(*value) == value and cls._make(value) == value
     assert hash(cls(*value)) == hash(value)
+
+
+@given(surjection_arguments)
+def test_surjection_oracle_accepts_exactly_the_valid_maps(args):
+    """The oracle is the one way a map becomes a face, so it is held to the
+    same test as the constructors, and the blocks it returns build a face."""
+    try:
+        blocks = oracle_surjection_to_facet(*args)
+    except DomainError:
+        assert not valid_surjection(*args)
+        return
+    assert valid_surjection(*args)
+    assert OrderedSetPartition(blocks).blocks == blocks
