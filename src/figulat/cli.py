@@ -53,21 +53,19 @@ def parse_range(text: str, minimum: int, flag: str) -> range:
 def emit_records(records: list[dict], fmt: str, out) -> None:
     """Write records in the chosen format; all formats carry the same
     fields, including the schema version."""
+    if not records:
+        return
     tagged = [{"schema": SCHEMA_VERSION, **r} for r in records]
     if fmt == "json-lines":
         import json
         for record in tagged:
             out.write(json.dumps(record) + "\n")
     elif fmt == "csv":
-        if not tagged:
-            return
         import csv
         writer = csv.DictWriter(out, fieldnames=list(tagged[0].keys()))
         writer.writeheader()
         writer.writerows(tagged)
     else:  # plain-table
-        if not tagged:
-            return
         keys = list(tagged[0].keys())
         rows = [[str(r[k]) for k in keys] for r in tagged]
         widths = [max(len(k), *(len(row[i]) for row in rows)) for i, k in enumerate(keys)]
@@ -115,6 +113,10 @@ def cmd_verify(args, out, err) -> int:
 
 
 def cmd_table(args, out, err) -> int:
+    needed = {"stirling": ("m",), "facet-counts": ("p",), "figurate": ("k", "n")}
+    for flag in needed[args.kind]:
+        if getattr(args, flag) is None:
+            raise DomainError(f"table --kind {args.kind} requires --{flag}")
     records = []
     if args.kind == "stirling":
         for m in args.m:
@@ -297,13 +299,6 @@ def _main(argv, out, err) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-
-    if getattr(args, "command", None) == "table":
-        needed = {"stirling": ("m",), "facet-counts": ("p",), "figurate": ("k", "n")}
-        for flag in needed[args.kind]:
-            if getattr(args, flag) is None:
-                err.write(f"error: table --kind {args.kind} requires --{flag}\n")
-                return EXIT_USAGE
 
     try:
         return args.func(args, out, err)

@@ -9,6 +9,7 @@ Reports, their terms and skipped cells are named tuples.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import chain, repeat, zip_longest
 from operator import mul, neg
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -155,9 +156,17 @@ def sweep(
     # An iterator is read once, into a tuple, so the checks do not drain it;
     # a range stays lazy, so a long n range costs no memory.
     ps, ns = (v if isinstance(v, Sequence) else tuple(v) for v in (ps, ns))
+    # Built per call, not at import, so a route rebound in this module (as
+    # the benchmark's tracer does) is the one that runs.
+    budgets = {"max_expressions": max_expressions, "max_points": max_points}
+    run = {
+        "algebraic": verify_algebraic,
+        "geometric": partial(verify_geometric, **budgets),
+        "pointwise": partial(verify_pointwise, **budgets),
+    }
     routes = list(routes)
     for route in routes:
-        if route not in ROUTES:
+        if route not in run:
             raise DomainError(f"unknown route {route!r}; expected one of {ROUTES}")
     # Checks every p and every n, even when the other sequence is empty.
     for p, n in zip_longest(ps, ns, fillvalue=1):
@@ -169,16 +178,7 @@ def sweep(
             for n in ns:
                 for route in ordered_routes:
                     try:
-                        if route == "algebraic":
-                            cell = verify_algebraic(p, n)
-                        elif route == "geometric":
-                            cell = verify_geometric(
-                                p, n, max_expressions=max_expressions, max_points=max_points
-                            )
-                        else:
-                            cell = verify_pointwise(
-                                p, n, max_expressions=max_expressions, max_points=max_points
-                            )
+                        cell = run[route](p, n)
                     except BudgetExceededError as exc:
                         cell = SkippedCell(p, n, route, str(exc))
                     yield cell

@@ -1,7 +1,15 @@
 import gc
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Hypothesis's pytest plugin caches the constants of local source files at
+# collection, whatever the settings; this keeps that cache, and any other
+# file it writes, out of the checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "figulat-hypothesis")
 
 # Every property draws the same examples on every run, and no example
 # database is written, so the suite is reproducible.

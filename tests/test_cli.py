@@ -440,9 +440,22 @@ class TestTableCommand:
         values = [json.loads(line)["value"] for line in out.splitlines()]
         assert values == [1, 3, 6, 10]
 
-    def test_missing_range_is_usage_error(self):
-        code, _, err = run(["table", "--kind", "stirling"])
-        assert code == 2 and "requires" in err
+    @pytest.mark.parametrize("argv, flag", [
+        (["--kind", "stirling"], "m"),
+        (["--kind", "facet-counts"], "p"),
+        (["--kind", "figurate"], "k"),
+        (["--kind", "figurate", "--n", "2"], "k"),
+        (["--kind", "figurate", "--k", "2"], "n"),
+    ])
+    def test_missing_range_is_usage_error(self, argv, flag):
+        code, out, err = run(["table", *argv])
+        assert (code, out) == (2, "")
+        assert err == f"error: table --kind {argv[1]} requires --{flag}\n"
+
+    @pytest.mark.parametrize("fmt", ["plain-table", "csv", "json-lines"])
+    def test_no_records_print_nothing(self, fmt):
+        # S(0, j) has no j >= 1, so the table has no rows and no header.
+        assert run(["table", "--kind", "stirling", "--m", "0", "--format", fmt]) == (0, "", "")
 
     def test_plain_table_has_header(self):
         code, out, _ = run(["table", "--kind", "stirling", "--m", "3"])

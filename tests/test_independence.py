@@ -28,7 +28,7 @@ FACE_GENERATION = {
 
 
 def is_constructor(name):
-    return name.endswith(".__new__") or name == "figulat.facets._integers"
+    return name.endswith(".__new__")
 
 
 def calls(run, monkeypatch):
