@@ -178,7 +178,7 @@ def _audit_pairings(args):
         for k in range(1, m + 1):
             yield (
                 f"surjections m={m} k={k}",
-                combinatorics.surjection_count(m, k),
+                combinatorics.facet_count(m, m - k),
                 len(oracles.oracle_surjections(m, k)),
             )
     for m in range(1, min(args.m_max, 8) + 1):

@@ -1,7 +1,7 @@
 """Exact closed-form combinatorics: figurate numbers, Stirling
-numbers of the second kind, and surjection and facet counts. These are the
-package's only closed forms; the enumeration layers (`facets`, `lattice`)
-and the oracles do not import this module.
+numbers of the second kind, and facet counts, which are the surjection
+counts. These are the package's only closed forms; the enumeration layers
+(`facets`, `lattice`) and the oracles do not import this module.
 
 All arithmetic is exact big-integer arithmetic; nothing here rounds.
 """
@@ -40,14 +40,16 @@ def figurates(p: int, n: int) -> list[int]:
 # Memoized only because `bench/layers.py` reads its cache_info().
 @lru_cache(maxsize=None, typed=True)
 def stirling2_recurrence(m: int, j: int) -> int:
-    """Stirling number of the second kind S(m, j) = T(m, j) / j!, read from
-    the surjection row T(m, .) that `facet_count` steps by the triangular
-    recurrence; the division is exact. Memoized by argument type too, so a
-    bool or a float never reads the entry of an equal int."""
+    """Stirling number of the second kind S(m, j) = T(m, j) / j!: the
+    surjection count T(m, j) is the row entry `facet_count(m, m - j)`, and
+    the division is exact. Memoized by argument type too, so a bool or a
+    float never reads the entry of an equal int."""
     check_integers("stirling2 requires integer arguments, got ({!r}, {!r})", m, j)
     if m < 0 or j < 0:
         raise DomainError(f"stirling2 requires nonnegative arguments, got ({m}, {j})")
-    return surjection_count(m, j) // factorial(j)
+    if 1 <= j <= m:
+        return facet_count(m, m - j) // factorial(j)
+    return 1 if j == m == 0 else 0
 
 
 def stirling2_inclusion_exclusion(m: int, j: int) -> int:
@@ -67,17 +69,6 @@ def stirling2_inclusion_exclusion(m: int, j: int) -> int:
             f"alternating sum {total} is not divisible by {j}! for (m={m}, j={j})"
         )
     return quotient
-
-
-def surjection_count(m: int, j: int) -> int:
-    """Number of surjections from an m-set onto a j-set: j! * S(m, j),
-    read from the face-count row of m."""
-    check_integers("surjection_count requires integer arguments, got ({!r}, {!r})", m, j)
-    if m < 0 or j < 0:
-        raise DomainError(f"surjection_count requires nonnegative arguments, got ({m}, {j})")
-    if 1 <= j <= m:
-        return facet_count(m, m - j)
-    return 1 if j == m == 0 else 0
 
 
 # (p, row) with row[j - 1] = T(p, j) = j! * S(p, j): the face counts, and

@@ -4,6 +4,7 @@ import json
 import shlex
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -507,6 +508,9 @@ class TestFacetsCommand:
 
 
 class TestAuditCommand:
+    SMALL = ["audit", "--m-max", "2", "--k-max", "2", "--n-max", "2",
+             "--p-max", "2", "--cover-p-max", "1", "--cover-n-max", "1"]
+
     def test_default_flags_pass(self):
         code, out, _ = run(["audit"])
         assert (code, out) == (0, "audit ok\n")
@@ -514,14 +518,31 @@ class TestAuditCommand:
     def test_mismatches_exit_1(self, monkeypatch):
         real = combinatorics.figurate
         monkeypatch.setattr(combinatorics, "figurate", lambda k, n: real(k, n) + 1)
-        code, out, err = run(["audit", "--m-max", "2", "--k-max", "2", "--n-max", "2",
-                              "--p-max", "2", "--cover-p-max", "1", "--cover-n-max", "1"])
+        code, out, err = run(self.SMALL)
         assert code == 1
         assert out.splitlines() == [
             f"MISMATCH figurate k={k} n={n}: computed {real(k, n) + 1}, oracle {real(k, n)}"
             for k in (1, 2) for n in (1, 2)
         ]
         assert err == "audit failed: 4 mismatches\n"
+
+    def test_a_wrong_face_count_row_fails_exactly_the_families_that_read_it(
+            self, monkeypatch):
+        real = combinatorics.facet_count
+        monkeypatch.setattr(combinatorics, "facet_count", lambda p, l: 2 * real(p, l))
+        # Cleared before, so no Stirling entry answers from the true row, and
+        # after, so no doubled entry outlives the test.
+        combinatorics.stirling2_recurrence.cache_clear()
+        try:
+            code, out, err = run(self.SMALL)
+        finally:
+            combinatorics.stirling2_recurrence.cache_clear()
+        assert code == 1
+        names = [line.removeprefix("MISMATCH ").split(":")[0] for line in out.splitlines()]
+        families = Counter(" ".join(w for w in name.split() if "=" not in w)
+                           for name in names)
+        assert families == {"stirling": 3, "surjections": 3, "bell row": 2, "facet count": 3}
+        assert err == "audit failed: 11 mismatches\n"
 
     def test_reduced_grid_passes(self):
         code, out, _ = run(["audit", "--m-max", "5", "--k-max", "5", "--n-max", "5",

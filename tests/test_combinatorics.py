@@ -15,7 +15,6 @@ from figulat.combinatorics import (
     figurates,
     stirling2_inclusion_exclusion,
     stirling2_recurrence,
-    surjection_count,
 )
 from figulat.errors import DomainError
 from figulat.verifier import verify_algebraic
@@ -109,32 +108,30 @@ class TestStirling:
 
 
 class TestSurjectionCount:
+    """T(m, j) = j! * S(m, j) is the face count c_{m, m-j} for 1 <= j <= m;
+    off that range the surjection count is read through S(m, j)."""
+
     def test_oracle_small(self):
-        assert surjection_count(3, 2) == count_surjections(3, 2) == 6
+        assert facet_count(3, 1) == count_surjections(3, 2) == 6
 
     def test_bijections(self):
         for p in range(1, 8):
-            assert surjection_count(p, p) == factorial(p)
+            assert facet_count(p, 0) == factorial(p)
 
     def test_onto_larger_set_is_zero(self):
-        assert surjection_count(2, 3) == 0
+        assert stirling2_recurrence(2, 3) == 0
         for m in range(0, 6):
-            assert surjection_count(m, m + 1) == surjection_count(m, 2 * m + 1) == 0
+            assert stirling2_recurrence(m, m + 1) == stirling2_recurrence(m, 2 * m + 1) == 0
 
     def test_oracle_grid(self):
         for m in range(1, 7):
             for j in range(1, m + 1):
-                assert surjection_count(m, j) == count_surjections(m, j)
+                assert facet_count(m, m - j) == count_surjections(m, j)
 
     def test_empty_domain_or_codomain(self):
-        assert surjection_count(0, 0) == 1
+        assert stirling2_recurrence(0, 0) == 1
         for m in range(1, 6):
-            assert surjection_count(m, 0) == surjection_count(0, m) == 0
-
-    def test_rejects_negative_arguments(self):
-        for m, j in [(-1, 0), (0, -1), (3, -2)]:
-            with pytest.raises(DomainError):
-                surjection_count(m, j)
+            assert stirling2_recurrence(m, 0) == stirling2_recurrence(0, m) == 0
 
 
 class TestFacetCount:
@@ -194,10 +191,9 @@ class TestStirlingIdentity:
 @pytest.mark.parametrize("form,args", [
     (figurate, (1, 1)),
     (facet_count, (1, 0)),
-    (surjection_count, (1, 1)),
     (stirling2_recurrence, (1, 1)),
     (stirling2_inclusion_exclusion, (1, 1)),
-], ids=["figurate", "facet_count", "surjection_count", "stirling2_recurrence",
+], ids=["figurate", "facet_count", "stirling2_recurrence",
        "stirling2_inclusion_exclusion"])
 @pytest.mark.parametrize("bad", [bool, float, lambda v: -v - 1],
                          ids=["bool", "float", "negative"])

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from figulat import lattice
-from figulat.combinatorics import figurate, surjection_count
+from figulat.combinatorics import facet_count, figurate
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, enumerate_facets
 from figulat.lattice import LatticePoint, cube_points, enumerate_points, point_multiplicity
@@ -290,7 +290,7 @@ class TestPointMultiplicity:
 
 
 class TestFaceRelationIndex:
-    def test_relation_test_matches_facet_contains(self):
+    def test_relation_test_matches_the_membership_oracle(self):
         for p in range(1, 6):
             faces = lattice._face_index(p, DEFAULT_MAX_EXPRESSIONS)
             pairs = list(zip(
@@ -325,7 +325,7 @@ class TestFaceRelationIndex:
                     assert len(members) == comb(n, k)
                     types_by_k[k] += 1
                 assert types_by_k == {
-                    k: surjection_count(p, k) for k in range(1, min(p, n) + 1)
+                    k: facet_count(p, p - k) for k in range(1, min(p, n) + 1)
                 }
 
     def test_missing_face_is_reported_at_the_first_wrong_point(self, monkeypatch):

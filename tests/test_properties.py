@@ -89,7 +89,7 @@ def test_enumerated_points_lie_on_the_face_and_count_figurate(face, n):
 
 
 @given(faces_and_points())
-def test_relation_test_matches_facet_contains(drawn):
+def test_relation_test_matches_the_membership_oracle(drawn):
     face, point, inside = drawn
     contained = oracle_facet_contains(face.blocks, point.coords)
     assert contained or not inside
