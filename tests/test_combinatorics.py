@@ -133,6 +133,19 @@ class TestSurjectionCount:
         for m in range(1, 6):
             assert stirling2_recurrence(m, 0) == stirling2_recurrence(0, m) == 0
 
+    @pytest.mark.parametrize("m", range(0, 7))
+    def test_factorial_times_stirling_counts_surjections(self, m):
+        # Off 1 <= j <= m this reads stirling2_recurrence's own zero branch.
+        for j in range(0, m + 2):
+            assert factorial(j) * stirling2_recurrence(m, j) == count_surjections(m, j)
+
+    def test_rejects_negative_arguments(self):
+        for m, j in [(-1, 0), (0, -1), (3, -2)]:
+            with pytest.raises(DomainError):
+                facet_count(m, m - j)
+            with pytest.raises(DomainError):
+                stirling2_recurrence(m, j)
+
 
 class TestFacetCount:
     def test_top_dimension_counts_permutations(self):
