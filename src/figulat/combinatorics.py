@@ -28,13 +28,9 @@ def figurate(k: int, n: int) -> int:
 def figurates(p: int, n: int) -> list[int]:
     """The figurate column [F^p_n, ..., F^1_n] as a new list: entry l is
     F^{p-l}_n, the points of a codimension-l face of the p-cube at side n.
-    The arguments are checked once; the entries are read by `comb` in C."""
-    check_integers("figurates requires integer p and n, got (p={!r}, n={!r})", p, n)
-    if p < 1:
-        raise DomainError(f"figurate dimension must be >= 1, got p={p}")
-    if n < 1:
-        raise DomainError(f"figurate side must be >= 1, got n={n}")
-    return list(map(comb, range(n + p - 1, n - 1, -1), range(p, 0, -1)))
+    Entry 0 is `figurate(p, n)`, so a refusal is `figurate`'s, message and
+    all, with p as k; every other entry is read by `comb` in C."""
+    return [figurate(p, n), *map(comb, range(n + p - 2, n - 1, -1), range(p - 1, 0, -1))]
 
 
 # Memoized only because `bench/layers.py` reads its cache_info().

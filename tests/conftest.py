@@ -1,5 +1,7 @@
 import gc
+import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,36 @@ def live_objects():
     held = OrderedSetPartition(((1,),))
     assert any(o is held for o in live(OrderedSetPartition))
     return live
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """`record_calls(run)` calls `run()` under `sys.setprofile` and counts
+    the figulat functions it calls, by 'module.qualname'. The face index,
+    the Stirling memo and the kept face-count row are emptied before each
+    run, so no call hides behind a hit that an earlier test cached.
+    Comprehensions and generator expressions run in frames of their own and
+    are left out, since the function that made them is counted already; a
+    generator counts once more each time it resumes."""
+    from figulat import combinatorics, lattice
+
+    def record(run):
+        lattice._face_index.cache_clear()
+        combinatorics.stirling2_recurrence.cache_clear()
+        monkeypatch.setattr(combinatorics, "_facet_row", (0, []))
+        called = Counter()
+
+        def profile(frame, event, arg):
+            module = frame.f_globals.get("__name__", "")
+            code = frame.f_code
+            if event == "call" and module.startswith("figulat.") and code.co_name[0] != "<":
+                called[f"{module}.{getattr(code, 'co_qualname', code.co_name)}"] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(previous)
+        return called
+    return record

@@ -330,8 +330,16 @@ def test_row_forms_reject_bools_floats_zero_and_negatives(form, args, position, 
     (facet_count, (1.0, 0), "facet_count requires integer p and l, got (p=1.0, l=0)"),
     (facet_count, (0, 0), "dimension must be >= 1, got p=0"),
     (facet_count, (3, 3), "codimension must satisfy 0 <= l <= p-1, got l=3 for p=3"),
+    # Each row form refuses through one call of its scalar form; figurates
+    # passes p as k.
+    (figurates, (True, 1), "figurate requires integer k and n, got (k=True, n=1)"),
+    (figurates, (1, 2.0), "figurate requires integer k and n, got (k=1, n=2.0)"),
+    (figurates, (0, 1), "figurate dimension must be >= 1, got k=0"),
+    (figurates, (1, -1), "figurate side must be >= 1, got n=-1"),
+    (facet_counts, (1.0,), "facet_count requires integer p and l, got (p=1.0, l=0)"),
+    (facet_counts, (0,), "dimension must be >= 1, got p=0"),
 ])
-def test_scalar_forms_keep_their_messages(form, args, message):
+def test_closed_forms_keep_their_messages(form, args, message):
     with pytest.raises(DomainError) as refused:
         form(*args)
     assert str(refused.value) == message

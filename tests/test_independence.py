@@ -1,18 +1,16 @@
 """The three routes and the oracles stay separate computations.
 
-Each route and each oracle runs on a few small cells while `sys.setprofile`
-records every figulat function it calls. The recorded call sets may
-overlap only where the design says they do: the algebraic route shares
-nothing but argument validation with the other routes, the geometric and
-pointwise routes share only face generation, and each oracle calls only
-its own module. Value-type constructors are allowed in the routes only;
-the oracles build no value of the package.
+Each route and each oracle runs on a few small cells while the
+`record_calls` fixture records every figulat function it calls. The
+recorded call sets may overlap only where the design says they do: the
+algebraic route shares nothing but argument validation with the other
+routes, the geometric and pointwise routes share only face generation,
+and each oracle calls only its own module. Value-type constructors are
+allowed in the routes only; the oracles build no value of the package.
 """
-import sys
-
 import pytest
 
-from figulat import combinatorics, lattice, oracles
+from figulat import oracles
 from figulat.lattice import LatticePoint, cube_points
 from figulat.verifier import verify_algebraic, verify_geometric, verify_pointwise
 
@@ -31,43 +29,18 @@ def is_constructor(name):
     return name.endswith(".__new__")
 
 
-def calls(run, monkeypatch):
-    """The figulat functions that `run()` calls, as 'module.qualname'.
-    Every cache starts empty, so no call hides behind a hit."""
-    lattice._face_index.cache_clear()
-    combinatorics.stirling2_recurrence.cache_clear()
-    monkeypatch.setattr(combinatorics, "_facet_row", (0, []))
-    seen = set()
-
-    def profile(frame, event, arg):
-        module = frame.f_globals.get("__name__", "")
-        # Comprehensions and generator expressions run in frames of their
-        # own; the function that made them is recorded already.
-        if event == "call" and module.startswith("figulat.") and frame.f_code.co_name[0] != "<":
-            seen.add(f"{module}.{getattr(frame.f_code, 'co_qualname', frame.f_code.co_name)}")
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(previous)
-    lattice._face_index.cache_clear()
-    return seen
-
-
-def route_calls(route, monkeypatch):
+def route_calls(route, record_calls):
     """The functions a route calls, value-type constructors left out."""
     def run():
         for p, n in CELLS:
             assert route(p, n).ok is True
-    return {name for name in calls(run, monkeypatch) if not is_constructor(name)}
+    return {name for name in record_calls(run) if not is_constructor(name)}
 
 
 @pytest.fixture
-def routes(monkeypatch):
+def routes(record_calls):
     return {
-        route.__name__: route_calls(route, monkeypatch)
+        route.__name__: route_calls(route, record_calls)
         for route in (verify_algebraic, verify_geometric, verify_pointwise)
     }
 
@@ -86,15 +59,15 @@ def test_geometric_and_pointwise_share_only_face_generation(routes):
         assert not {name for name in route if name.startswith("figulat.combinatorics.")}
 
 
-def test_pointwise_and_the_signed_cover_oracle_share_nothing(routes, monkeypatch):
+def test_pointwise_and_the_signed_cover_oracle_share_nothing(routes, record_calls):
     points = [q for p, n in CELLS for q in cube_points(p, n)]
 
     def run():
         for q in points:
             assert oracles.oracle_signed_cover(q) == 1
-    cover = calls(run, monkeypatch)
+    cover = record_calls(run)
     assert "figulat.oracles._group_factor" in cover
-    assert not cover & routes["verify_pointwise"]
+    assert not cover.keys() & routes["verify_pointwise"]
 
 
 @pytest.mark.parametrize("oracle, args", [
@@ -106,7 +79,7 @@ def test_pointwise_and_the_signed_cover_oracle_share_nothing(routes, monkeypatch
     (oracles.oracle_facet_contains, (((2,), (1, 3)), (1, 0, 1))),
     (oracles.oracle_surjection_to_facet, ((2, 1, 2),)),
 ])
-def test_each_oracle_calls_only_its_own_module(oracle, args, monkeypatch):
-    called = calls(lambda: oracle(*args), monkeypatch)
+def test_each_oracle_calls_only_its_own_module(oracle, args, record_calls):
+    called = record_calls(lambda: oracle(*args))
     assert f"figulat.oracles.{oracle.__name__}" in called
     assert all(name.startswith("figulat.oracles.") for name in called)

@@ -214,7 +214,7 @@ class TestCubePoints:
     @pytest.mark.parametrize("p,n", [
         (0, 1), (1, 0), (2, True), (2, 2.0), (True, 2), (2.0, 2),
     ])
-    def test_rejects_dimension_or_side_zero(self, p, n):
+    def test_rejects_a_dimension_or_side_that_is_not_a_positive_integer(self, p, n):
         with pytest.raises(DomainError) as raised:
             cube_points(p, n)
         if type(p) is int and p >= 1:

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import figulat
-from figulat import combinatorics, lattice
 from figulat.cli import main
 from figulat.verifier import verify_algebraic
 
@@ -109,27 +108,15 @@ def test_routes_and_cli_import_nothing_from_math(module):
     assert from_math == []
 
 
-def test_algebraic_route_reads_one_row_and_one_column_per_cell(monkeypatch):
+def test_algebraic_route_reads_one_row_and_one_column_per_cell(record_calls):
     """No scalar closed form is called per term, counted without timing:
-    the one `facet_count` call per cell is `facet_counts` checking p."""
-    monkeypatch.setattr(combinatorics, "_facet_row", (0, []))
+    each row form checks through one call of its scalar form per cell."""
     cells = [(p, n) for p in range(1, 31) for n in range(1, 4)]
-    called = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_globals.get("__name__") == "figulat.combinatorics":
-            called[frame.f_code.co_name] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        reports = [verify_algebraic(p, n) for p, n in cells]
-    finally:
-        sys.setprofile(previous)
+    reports = []
+    called = record_calls(lambda: reports.extend(verify_algebraic(p, n) for p, n in cells))
     assert all(report.ok for report in reports)
-    assert called["facet_counts"] == called["figurates"] == len(cells)
-    assert called["facet_count"] == len(cells)
-    assert called["figurate"] == 0
+    for name in ("facet_counts", "figurates", "facet_count", "figurate"):
+        assert called[f"figulat.combinatorics.{name}"] == len(cells)
 
 
 def test_oracles_import_only_errors_and_only_the_cli_imports_them():
@@ -189,10 +176,11 @@ def unused_imports(tree):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    """The leftover a deletion leaves behind; the repo has no linter."""
+    """The leftover a deletion leaves behind, in the package or its tests;
+    the repo has no linter."""
     unused = {
-        (path.stem, name)
-        for path in PACKAGE.glob("*.py")
+        (path.parent.name, path.stem, name)
+        for path in [*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("*.py")]
         for name in unused_imports(ast.parse(path.read_text()))
     }
     assert unused == set()
@@ -235,30 +223,17 @@ def module_functions(module):
     return found
 
 
-def test_every_function_outside_the_oracles_is_run_by_a_command(monkeypatch):
-    monkeypatch.setattr(combinatorics, "_facet_row", (0, []))
-    lattice._face_index.cache_clear()
-    run = set()
-
-    def profile(frame, event, arg):
-        module = frame.f_globals.get("__name__", "")
-        if event == "call" and module.startswith("figulat."):
-            run.add(f"{module}.{getattr(frame.f_code, 'co_qualname', frame.f_code.co_name)}")
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        codes = [main(argv.split(), out=io.StringIO(), err=io.StringIO())
-                 for argv in COMMANDS + REFUSALS]
-    finally:
-        sys.setprofile(previous)
-    lattice._face_index.cache_clear()
+def test_every_function_outside_the_oracles_is_run_by_a_command(record_calls):
+    codes = []
+    run = record_calls(lambda: codes.extend(
+        main(argv.split(), out=io.StringIO(), err=io.StringIO())
+        for argv in COMMANDS + REFUSALS))
     assert codes == [0] * len(COMMANDS) + [3] * len(REFUSALS)
     defined = set().union(*(
         module_functions(import_module(f"figulat.{name}"))
         for name in MODULES - {"oracles", "__init__"}
     ))
-    assert defined - run == NOT_RUN_BY_A_COMMAND
+    assert defined - run.keys() == NOT_RUN_BY_A_COMMAND
 
 
 def bool_checks(tree, prefix=""):
