@@ -6,7 +6,9 @@ so whether it contains a point depends only on the point's weak order
 type. One function encodes both as relation bit sets on p indices (bit
 i*p + j set iff x_{i+1} >= x_{j+1}), from their levels, lowest first: a
 face's blocks read from the last, a point's indices grouped by value. A
-face contains a point iff every bit of the face is a bit of the point.
+face contains a point iff every bit of the face is a bit of the point. The
+face index holds the faces' bits sliced, one int of faces per relation
+bit, so a point tests a machine word of faces at a time.
 
 Points, like faces, are immutable named tuples equal only to their own
 type. A direct `LatticePoint(...)` call checks that its side and
@@ -17,9 +19,11 @@ messages, then build each point with `tuple.__new__`, unchecked.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
-from itertools import combinations_with_replacement, product, repeat
-from operator import itemgetter
+from functools import lru_cache, reduce
+from itertools import (
+    accumulate, combinations, combinations_with_replacement, compress, product, repeat,
+)
+from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DomainError, check_integers
@@ -34,6 +38,9 @@ from .facets import (
 # Full-cube scans and per-face enumerations stop at this many points.
 DEFAULT_MAX_POINTS = 10 ** 7
 _POINT_CAP = "point cap must be an integer >= 1, got {!r}"
+# _BIT[b] reads a byte as the digit '1' where its bit b is set, else '0':
+# counting up from 0, bit b is 0 for 2^b bytes, then 1 for 2^b bytes.
+_BIT = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
 
 
 class LatticePoint(_Value, namedtuple("LatticePoint", "coords side")):
@@ -127,17 +134,66 @@ def _weak_order(values: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=1, typed=True)
-def _face_index(p: int, max_expressions: int) -> tuple[tuple[int, ...], ...]:
-    """The relation bit set of every face, by codimension. Every
-    codimension's budget is checked before the first face is built. Cached
-    for the last p and expression cap only, since sweeps run p-major; the
-    faces themselves are not kept. Typed, so that a bool cap never reads
-    the entry of an int one and skips the cap's check."""
+def _face_index(
+    p: int, max_expressions: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The faces of every codimension, numbered in `enumerate_facets`
+    order, bit-sliced: the set of each relation bit r = i*p + j, an int
+    whose bit f is set iff face f forces x_{i+1} >= x_{j+1}, and each
+    codimension's (start, count) span of face numbers. Every codimension's
+    budget is checked before the first face is built.
+
+    Built one codimension at a time from bit planes: block values weakly
+    decrease in block order, so a face forces x_{i+1} >= x_{j+1} iff i+1
+    lies in some block v and j+1 in block v or a later one.
+
+    Cached for the last p and expression cap only, since sweeps run
+    p-major; the faces themselves are not kept. Typed, so that a bool cap
+    never reads the entry of an int one and skips the cap's check."""
     check_every_codimension(p, max_expressions)
-    return tuple(
-        tuple(_relation(reversed(f.blocks), p) for f in enumerate_facets(p, l, max_expressions))
-        for l in range(p)
-    )
+    # in_block[c][block]: the byte whose bit b is set iff index 8c+b+1 is in the block.
+    blocks = [block for size in range(1, p + 1) for block in combinations(range(1, p + 1), size)]
+    in_block = [
+        {block: sum(1 << (i - c - 1) for i in block if c < i <= c + 8) for block in blocks}
+        for c in range(0, p, 8)
+    ]
+    sets = [0] * (p * p)
+    spans = []
+    start = 0
+    for l in range(p):
+        faces = enumerate_facets(p, l, max_expressions)
+        count = len(faces)
+        # marks[v][c]: in_block[c] of every face's block v (a face's field
+        # 0 is its blocks), last face first, so that int(..., 2) puts face 0
+        # at bit 0.
+        marks = [
+            [bytes(map(byte.__getitem__, map(itemgetter(v), map(itemgetter(0), reversed(faces)))))
+             for byte in in_block]
+            for v in range(p - l)
+        ]
+        del faces
+        # at[i][v]: the faces with index i+1 in block v; after[i][v]: in block v or a later one.
+        at = [[int(by_run[i // 8].translate(_BIT[i % 8]), 2) for by_run in marks] for i in range(p)]
+        del marks
+        after = [list(accumulate(reversed(planes), or_))[::-1] for planes in at]
+        for i in range(p):
+            for j in range(p):
+                sets[i * p + j] |= reduce(or_, map(and_, at[i], after[j])) << start
+        spans.append((start, count))
+        start += count
+    return tuple(sets), tuple(spans)
+
+
+def _containing_counts(point: LatticePoint, max_expressions: int) -> list[int]:
+    """How many faces of each codimension contain the point: all but those
+    in the union of the sets of the relations it lacks. The face index,
+    and so every budget, comes before the point is encoded."""
+    p = len(point.coords)
+    sets, spans = _face_index(p, max_expressions)
+    # The point's weak order read from bit 0 up: '0' at each relation it lacks.
+    order = format(_weak_order(point.coords), f"0{p * p}b")[::-1]
+    outside = reduce(or_, compress(sets, map("0".__eq__, order)), 0)
+    return [count - (outside >> start & (1 << count) - 1).bit_count() for start, count in spans]
 
 
 def point_multiplicity(
@@ -145,11 +201,8 @@ def point_multiplicity(
 ) -> int:
     """Signed cover multiplicity: sum over codimension l of (-1)^l times the
     number of codimension-l faces containing the point. Always 1 for points
-    of the cube. The dimension is the point's number of coordinates. The
-    faces are tested one by one; `max_expressions` is the budget of the
-    face enumeration."""
-    outside = ~_weak_order(point.coords)
-    return sum(
-        (-1) ** l * sum(1 for f in by_l if not f & outside)
-        for l, by_l in enumerate(_face_index(len(point.coords), max_expressions))
-    )
+    of the cube. The dimension is the point's number of coordinates. Every
+    face is tested by its own relation bits, a machine word of faces at a
+    time; `max_expressions` is the budget of the face enumeration."""
+    counts = _containing_counts(point, max_expressions)
+    return sum(counts[::2]) - sum(counts[1::2])

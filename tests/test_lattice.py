@@ -283,6 +283,14 @@ class TestPointMultiplicity:
         with pytest.raises(DomainError, match="^expression cap must be an integer >= 1"):
             point_multiplicity(pt((0,), 1), max_expressions=True)
 
+    def test_the_budget_is_checked_before_the_point_is_encoded(self, monkeypatch):
+        # 12! expressions at l = 0 exceed the default cap of 9! * 2^8.
+        def refuse(values):
+            raise AssertionError("the point was encoded")
+        monkeypatch.setattr(lattice, "_weak_order", refuse)
+        with pytest.raises(BudgetExceededError):
+            point_multiplicity(pt((0,) * 12, 1))
+
     def test_expression_cap_is_keyword_only(self):
         # A caller that still passes p must not have it taken as the cap.
         with pytest.raises(TypeError):
@@ -291,18 +299,47 @@ class TestPointMultiplicity:
 
 class TestFaceRelationIndex:
     def test_relation_test_matches_the_membership_oracle(self):
+        """Each face's verdict, read off the bit-sliced index codimension by
+        codimension, is the oracle's, and the spans tile the faces."""
         for p in range(1, 6):
-            faces = lattice._face_index(p, DEFAULT_MAX_EXPRESSIONS)
-            pairs = list(zip(
-                (f for by_l in faces_by_codimension(p) for f in by_l),
-                (bits for by_l in faces for bits in by_l),
-            ))
-            assert len(pairs) == sum(map(len, faces))
+            sets, spans = lattice._face_index(p, DEFAULT_MAX_EXPRESSIONS)
+            assert len(sets) == p * p and len(spans) == p
+            start = 0
+            for l, span in enumerate(spans):
+                faces = enumerate_facets(p, l)
+                assert span == (start, len(faces))
+                for n in range(1, 4):
+                    for q in cube_points(p, n):
+                        kind = lattice._weak_order(q.coords)
+                        lacked = [faces_of for r, faces_of in enumerate(sets) if not kind >> r & 1]
+                        for f, face in enumerate(faces, start):
+                            held = not any(faces_of >> f & 1 for faces_of in lacked)
+                            assert held == oracle_facet_contains(face.blocks, q.coords)
+                start += len(faces)
+            assert all(faces_of >> start == 0 for faces_of in sets)
+
+    def test_index_bits_are_the_per_face_encoding(self):
+        """Bit f of the set of relation r is bit r of face f's own relation
+        bits, which `test_properties` checks against the oracle."""
+        for p in range(1, 7):
+            sets, spans = lattice._face_index(p, DEFAULT_MAX_EXPRESSIONS)
+            for l, (start, _) in enumerate(spans):
+                for f, face in enumerate(enumerate_facets(p, l), start):
+                    read = sum((faces_of >> f & 1) << r for r, faces_of in enumerate(sets))
+                    assert read == lattice._relation(reversed(face.blocks), p)
+
+    def test_containing_counts_are_the_geometric_terms(self):
+        """Summed over the cube, the codimension-l faces that contain each
+        point are the incidences behind c(p,l) * F^{p-l}_n, which the
+        geometric route counts face by face."""
+        for p in range(1, 6):
             for n in range(1, 4):
+                totals = [0] * p
                 for q in cube_points(p, n):
-                    kind = lattice._weak_order(q.coords)
-                    for f, bits in pairs:
-                        assert (bits & ~kind == 0) == oracle_facet_contains(f.blocks, q.coords)
+                    counts = lattice._containing_counts(q, DEFAULT_MAX_EXPRESSIONS)
+                    totals = [a + b for a, b in zip(totals, counts, strict=True)]
+                terms = verify_geometric(p, n).per_l_terms
+                assert totals == [abs(t.signed_term) for t in terms]
 
     def test_multiplicity_matches_uncached_count_at_p6(self):
         faces = faces_by_codimension(6)
