@@ -3,12 +3,12 @@ and the signed cover multiplicity of a point.
 
 A face is the set {x : x_i >= x_j for every relation its chain forces},
 so whether it contains a point depends only on the point's weak order
-type. One function encodes both as relation bit sets on p indices (bit
-i*p + j set iff x_{i+1} >= x_{j+1}), from their levels, lowest first: a
-face's blocks read from the last, a point's indices grouped by value. A
-face contains a point iff every bit of the face is a bit of the point. The
-face index holds the faces' bits sliced, one int of faces per relation
-bit, so a point tests a machine word of faces at a time.
+type. Both are relation bit sets on p indices (bit i*p + j set iff
+x_{i+1} >= x_{j+1}), and a face contains a point iff every bit of the
+face is a bit of the point. The face index holds the faces' bits sliced,
+one int of faces per relation bit, so a point tests a machine word of
+faces at a time. It is built from the faces' first-block recurrence,
+with no face objects.
 
 Points, like faces, are immutable named tuples equal only to their own
 type. A direct `LatticePoint(...)` call checks that its side and
@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 from itertools import (
     accumulate, combinations, combinations_with_replacement, compress, product, repeat,
 )
-from operator import and_, itemgetter, or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DomainError, check_integers
@@ -32,15 +32,11 @@ from .facets import (
     OrderedSetPartition,
     _Value,
     check_every_codimension,
-    enumerate_facets,
 )
 
 # Full-cube scans and per-face enumerations stop at this many points.
 DEFAULT_MAX_POINTS = 10 ** 7
 _POINT_CAP = "point cap must be an integer >= 1, got {!r}"
-# _BIT[b] reads a byte as the digit '1' where its bit b is set, else '0':
-# counting up from 0, bit b is 0 for 2^b bytes, then 1 for 2^b bytes.
-_BIT = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
 
 
 class LatticePoint(_Value, namedtuple("LatticePoint", "coords side")):
@@ -141,47 +137,50 @@ def _face_index(
     order, bit-sliced: the set of each relation bit r = i*p + j, an int
     whose bit f is set iff face f forces x_{i+1} >= x_{j+1}, and each
     codimension's (start, count) span of face numbers. Every codimension's
-    budget is checked before the first face is built.
+    budget is checked before any set is built.
 
-    Built one codimension at a time from bit planes: block values weakly
-    decrease in block order, so a face forces x_{i+1} >= x_{j+1} iff i+1
-    lies in some block v and j+1 in block v or a later one.
+    Built one number of blocks k at a time: in that order the faces of s
+    indices in k blocks are, for each first block B in sorted order, B
+    followed by a face of the other s-|B| indices, relabelled in order, in
+    k-1 blocks. Block values weakly decrease, so segment by segment the
+    set of a pair (a, b) is all ones if a is in B, all zeros if only b is,
+    and otherwise the sub-face's set of the pair's relabelled indices.
 
     Cached for the last p and expression cap only, since sweeps run
-    p-major; the faces themselves are not kept. Typed, so that a bool cap
-    never reads the entry of an int one and skips the cap's check."""
+    p-major. Typed, so that a bool cap never reads the entry of an int one
+    and skips the cap's check."""
     check_every_codimension(p, max_expressions)
-    # in_block[c][block]: the byte whose bit b is set iff index 8c+b+1 is in the block.
-    blocks = [block for size in range(1, p + 1) for block in combinations(range(1, p + 1), size)]
-    in_block = [
-        {block: sum(1 << (i - c - 1) for i in block if c < i <= c + 8) for block in blocks}
-        for c in range(0, p, 8)
-    ]
-    sets = [0] * (p * p)
-    spans = []
-    start = 0
-    for l in range(p):
-        faces = enumerate_facets(p, l, max_expressions)
-        count = len(faces)
-        # marks[v][c]: in_block[c] of every face's block v (a face's field
-        # 0 is its blocks), last face first, so that int(..., 2) puts face 0
-        # at bit 0.
-        marks = [
-            [bytes(map(byte.__getitem__, map(itemgetter(v), map(itemgetter(0), reversed(faces)))))
-             for byte in in_block]
-            for v in range(p - l)
-        ]
-        del faces
-        # at[i][v]: the faces with index i+1 in block v; after[i][v]: in block v or a later one.
-        at = [[int(by_run[i // 8].translate(_BIT[i % 8]), 2) for by_run in marks] for i in range(p)]
-        del marks
-        after = [list(accumulate(reversed(planes), or_))[::-1] for planes in at]
-        for i in range(p):
-            for j in range(p):
-                sets[i * p + j] |= reduce(or_, map(and_, at[i], after[j])) << start
-        spans.append((start, count))
-        start += count
-    return tuple(sets), tuple(spans)
+    # below[s]: the count of the faces of s indices in k-1 blocks, and
+    # their sets, by relation a*s + b on indices 0..s-1.
+    below = {0: (1, [])}
+    sets, counts = [0] * (p * p), []
+    for k in range(1, p + 1):
+        level = {}
+        for s in range(k, p + 1):
+            # (first block, its sub-faces' count and sets), first blocks in
+            # reverse order, so that int(..., 2) puts face 0 at bit 0.
+            parts = sorted(
+                ((first, *below[s - size]) for size in range(1, s - k + 2) if s - size in below
+                 for first in combinations(range(s), size)),
+                reverse=True,
+            )
+            ranks = [[a - sum(i < a for i in first) for a in range(s)] for first, _, _ in parts]
+            level[s] = sum(count for _, count, _ in parts), [
+                int("".join([
+                    "1" * count if a in first else "0" * count if b in first
+                    else format(sub[rank[a] * (s - len(first)) + rank[b]], f"0{count}b")
+                    for (first, count, sub), rank in zip(parts, ranks)
+                ]), 2)
+                for a in range(s) for b in range(s)
+            ]
+        # Codimension p-k goes below the ones already folded in.
+        count, top = level[p]
+        for r in range(p * p):
+            sets[r] = top[r] | sets[r] << count
+        counts.append(count)
+        below = level
+    starts = accumulate(reversed(counts), initial=0)
+    return tuple(sets), tuple(zip(starts, reversed(counts)))
 
 
 def _containing_counts(point: LatticePoint, max_expressions: int) -> list[int]:

@@ -4,9 +4,10 @@ Each route and each oracle runs on a few small cells while the
 `record_calls` fixture records every figulat function it calls. The
 recorded call sets may overlap only where the design says they do: the
 algebraic route shares nothing but argument validation with the other
-routes, the geometric and pointwise routes share only face generation,
-and each oracle calls only its own module. Value-type constructors are
-allowed in the routes only; the oracles build no value of the package.
+routes, the geometric and pointwise routes share only the check of the
+expression budget, and each oracle calls only its own module. Value-type
+constructors are allowed in the routes only; the oracles build no value
+of the package.
 """
 import pytest
 
@@ -17,9 +18,7 @@ from figulat.verifier import verify_algebraic, verify_geometric, verify_pointwis
 CELLS = [(1, 1), (2, 3), (3, 2), (4, 3)]
 
 VALIDATE = {"figulat.verifier._validate", "figulat.errors.check_integers"}
-FACE_GENERATION = {
-    "figulat.facets.enumerate_facets",
-    "figulat.facets._block_sequences",
+EXPRESSION_BUDGET = {
     "figulat.facets._check_enumeration_budget",
     "figulat.facets.check_every_codimension",
 }
@@ -52,9 +51,9 @@ def test_algebraic_route_shares_only_validation(routes):
         assert algebraic & other == VALIDATE
 
 
-def test_geometric_and_pointwise_share_only_face_generation(routes):
+def test_geometric_and_pointwise_share_only_the_expression_budget(routes):
     geometric, pointwise = routes["verify_geometric"], routes["verify_pointwise"]
-    assert geometric & pointwise == VALIDATE | FACE_GENERATION
+    assert geometric & pointwise == VALIDATE | EXPRESSION_BUDGET
     for route in (geometric, pointwise):
         assert not {name for name in route if name.startswith("figulat.combinatorics.")}
 

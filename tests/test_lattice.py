@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from itertools import product
 from math import comb
@@ -321,12 +322,18 @@ class TestFaceRelationIndex:
     def test_index_bits_are_the_per_face_encoding(self):
         """Bit f of the set of relation r is bit r of face f's own relation
         bits, which `test_properties` checks against the oracle."""
-        for p in range(1, 7):
+        for p in range(1, 8):
             sets, spans = lattice._face_index(p, DEFAULT_MAX_EXPRESSIONS)
-            for l, (start, _) in enumerate(spans):
-                for f, face in enumerate(enumerate_facets(p, l), start):
-                    read = sum((faces_of >> f & 1) << r for r, faces_of in enumerate(sets))
-                    assert read == lattice._relation(reversed(face.blocks), p)
+            total = sum(count for _, count in spans)
+            # Each set read once, as its digits from bit 0 up; column f, read
+            # from the last relation down, is face f's relation bits.
+            digits = [format(faces_of, f"0{total}b")[::-1] for faces_of in reversed(sets)]
+            read = [int("".join(column), 2) for column in zip(*digits)]
+            for l, (start, count) in enumerate(spans):
+                faces = enumerate_facets(p, l)
+                assert read[start:start + count] == [
+                    lattice._relation(reversed(face.blocks), p) for face in faces
+                ]
 
     def test_containing_counts_are_the_geometric_terms(self):
         """Summed over the cube, the codimension-l faces that contain each
@@ -366,15 +373,23 @@ class TestFaceRelationIndex:
                 }
 
     def test_missing_face_is_reported_at_the_first_wrong_point(self, monkeypatch):
-        real = lattice.enumerate_facets
+        # The real p=4 index less its first codimension-2 face: that bit
+        # leaves every set, the bits above it move down, and the spans shrink.
+        real = lattice._face_index
+        sets, spans = real(4, DEFAULT_MAX_EXPRESSIONS)
+        gone = spans[2][0]
+        below = (1 << gone) - 1
+        index = (
+            tuple((faces_of & below) | (faces_of >> (gone + 1) << gone) for faces_of in sets),
+            tuple((start - (l > 2), count - (l == 2)) for l, (start, count) in enumerate(spans)),
+        )
         broken = list(faces_by_codimension(4))
         broken[2] = broken[2][1:]
         broken = tuple(broken)
         monkeypatch.setattr(
-            lattice, "enumerate_facets",
-            lambda p, l, cap: list(broken[l]) if p == 4 else real(p, l, cap),
+            lattice, "_face_index", lambda p, cap: index if p == 4 else real(p, cap)
         )
-        lattice._face_index.cache_clear()
+        real.cache_clear()
         try:
             report = verify_pointwise(4, 3)
             counts = [(q.coords, signed_count(broken, q)) for q in cube_points(4, 3)]
@@ -384,9 +399,9 @@ class TestFaceRelationIndex:
 
             assert verify_pointwise(5, 3).ok is True
             assert verify_pointwise(4, 2).ok is False
-            assert lattice._face_index.cache_info().currsize == 1
+            assert real.cache_info().currsize == 1
         finally:
-            lattice._face_index.cache_clear()
+            real.cache_clear()
 
     def test_pointwise_cell_keeps_no_face_objects(self, live_objects):
         # A p=1 cell first, so no cache still holds faces of a larger p.
@@ -395,11 +410,25 @@ class TestFaceRelationIndex:
         assert verify_pointwise(6, 2).ok is True
         assert len(live_objects(OrderedSetPartition)) <= before
 
+    def test_index_build_holds_no_face_list(self):
+        """The traced peak of a p=7 build stays under three times the size
+        of the sets it returns; a list of the faces of one codimension
+        would take more. A p=6 build first, so one-off allocations are not
+        counted."""
+        lattice._face_index.__wrapped__(6, DEFAULT_MAX_EXPRESSIONS)
+        tracemalloc.start()
+        try:
+            sets, _ = lattice._face_index.__wrapped__(7, DEFAULT_MAX_EXPRESSIONS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * sum(map(sys.getsizeof, sets))
+
     def test_every_expression_cap_is_checked_before_any_face(self, monkeypatch):
         # p=5 needs 120, 480 and 720 expressions for l = 0, 1, 2.
         def refuse(*args):
-            raise AssertionError("enumerate_facets was called")
-        monkeypatch.setattr(lattice, "enumerate_facets", refuse)
+            raise AssertionError("the index build began")
+        monkeypatch.setattr(lattice, "combinations", refuse)
         lattice._face_index.cache_clear()
         try:
             with pytest.raises(BudgetExceededError,
@@ -410,20 +439,20 @@ class TestFaceRelationIndex:
 
     def test_face_index_receives_the_pointwise_expression_cap(self, monkeypatch):
         caps = []
-        real = lattice.enumerate_facets
+        real = lattice.check_every_codimension
 
-        def spy(p, l, max_expressions):
+        def spy(p, max_expressions):
             caps.append(max_expressions)
-            return real(p, l, max_expressions)
+            return real(p, max_expressions)
 
-        monkeypatch.setattr(lattice, "enumerate_facets", spy)
+        monkeypatch.setattr(lattice, "check_every_codimension", spy)
         lattice._face_index.cache_clear()
         try:
             raised = 2 * DEFAULT_MAX_EXPRESSIONS
             assert verify_pointwise(3, 2, max_expressions=raised).ok is True
-            assert caps == [raised] * 3
+            assert caps == [raised]
             caps.clear()
             assert point_multiplicity(pt((1, 0, 1), 2)) == 1
-            assert caps == [DEFAULT_MAX_EXPRESSIONS] * 3
+            assert caps == [DEFAULT_MAX_EXPRESSIONS]
         finally:
             lattice._face_index.cache_clear()
