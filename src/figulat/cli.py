@@ -205,7 +205,7 @@ def _audit_pairings(args):
         for n in range(1, args.cover_n_max + 1):
             for point in cube_points(p, n):
                 yield (
-                    f"signed cover p={p} n={n} point=({point.text()})",
+                    f"signed cover p={p} n={n} point=({','.join(map(str, point))})",
                     point_multiplicity(point),
                     oracles.oracle_signed_cover(point),
                 )

@@ -10,55 +10,29 @@ one int of faces per relation bit, so a point tests a machine word of
 faces at a time. It is built from the faces' first-block recurrence,
 with no face objects.
 
-Points, like faces, are immutable named tuples equal only to their own
-type. A direct `LatticePoint(...)` call checks that its side and
-coordinates are integers in range and stores the coordinates as a tuple.
-The point generators reject the sides the constructor rejects, with its
-messages, then build each point with `tuple.__new__`, unchecked.
+A point is the plain tuple of its coordinates. The point generators
+check their side and cap, then yield the tuples `itertools` builds, with
+no check per point; `point_multiplicity` checks the coordinates of the
+point a caller gives it.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache, reduce
-from itertools import (
-    accumulate, combinations, combinations_with_replacement, compress, product, repeat,
-)
+from itertools import accumulate, combinations, combinations_with_replacement, compress, product
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DomainError, check_integers
-from .facets import (
-    DEFAULT_MAX_EXPRESSIONS,
-    OrderedSetPartition,
-    _Value,
-    check_every_codimension,
-)
+from .facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, check_every_codimension
 
 # Full-cube scans and per-face enumerations stop at this many points.
 DEFAULT_MAX_POINTS = 10 ** 7
 _POINT_CAP = "point cap must be an integer >= 1, got {!r}"
 
 
-class LatticePoint(_Value, namedtuple("LatticePoint", "coords side")):
-    __slots__ = ()
-
-    def __new__(cls, coords: tuple[int, ...], side: int):
-        coords = tuple(coords)
-        check_integers("coordinates must be integers, got {values}", *coords)
-        check_integers("side must be an integer, got {!r}", side)
-        if side < 1:
-            raise DomainError(f"side must be >= 1, got {side}")
-        if coords and (min(coords) < 0 or max(coords) >= side):
-            raise DomainError(f"coordinates must lie in [0, {side - 1}], got {coords}")
-        return tuple.__new__(cls, (coords, side))
-
-    def text(self) -> str:
-        return ",".join(str(c) for c in self.coords)
-
-
 def enumerate_points(
     facet: OrderedSetPartition, n: int, max_points: int = DEFAULT_MAX_POINTS
-) -> Iterator[LatticePoint]:
+) -> Iterator[tuple[int, ...]]:
     """Yield the lattice points of the face, each once. Read from the last
     block to the first, the block values weakly increase: they are the
     size-k multisets of {0..n-1}, yielded in lexicographic order."""
@@ -83,13 +57,13 @@ def enumerate_points(
         for idx in block:
             where[idx - 1] = position
     coords_of = itemgetter(*where) if len(where) > 1 else tuple
-    # Built in C, with no Python frame per point. Coordinates are drawn
-    # from range(n), n >= 1, so tuple.__new__ may skip the checks.
-    coords = map(coords_of, combinations_with_replacement(range(n), k))
-    return map(tuple.__new__, repeat(LatticePoint), zip(coords, repeat(n)))
+    # Built in C, with no Python frame and no object but the tuple per point.
+    return map(coords_of, combinations_with_replacement(range(n), k))
 
 
-def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterator[LatticePoint]:
+def cube_points(
+    p: int, n: int, max_points: int = DEFAULT_MAX_POINTS
+) -> Iterator[tuple[int, ...]]:
     """All n^p lattice points of the cube, in lexicographic order."""
     check_integers("dimension must be an integer, got {!r}", p)
     if p < 1:
@@ -104,8 +78,7 @@ def cube_points(p: int, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Iterato
         raise BudgetExceededError(
             f"cube scan for (p={p}, n={n}) exceeds the point cap", n ** p, max_points
         )
-    new = tuple.__new__  # coordinates drawn from range(n), n >= 1
-    return (new(LatticePoint, (coords, n)) for coords in product(range(n), repeat=p))
+    return product(range(n), repeat=p)
 
 
 def _relation(levels: Iterable[Sequence[int]], p: int) -> int:
@@ -183,25 +156,30 @@ def _face_index(
     return tuple(sets), tuple(zip(starts, reversed(counts)))
 
 
-def _containing_counts(point: LatticePoint, max_expressions: int) -> list[int]:
+def _containing_counts(point: tuple[int, ...], max_expressions: int) -> list[int]:
     """How many faces of each codimension contain the point: all but those
     in the union of the sets of the relations it lacks. The face index,
     and so every budget, comes before the point is encoded."""
-    p = len(point.coords)
+    p = len(point)
     sets, spans = _face_index(p, max_expressions)
     # The point's weak order read from bit 0 up: '0' at each relation it lacks.
-    order = format(_weak_order(point.coords), f"0{p * p}b")[::-1]
+    order = format(_weak_order(point), f"0{p * p}b")[::-1]
     outside = reduce(or_, compress(sets, map("0".__eq__, order)), 0)
     return [count - (outside >> start & (1 << count) - 1).bit_count() for start, count in spans]
 
 
 def point_multiplicity(
-    point: LatticePoint, *, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
+    point: Sequence[int], *, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
 ) -> int:
     """Signed cover multiplicity: sum over codimension l of (-1)^l times the
     number of codimension-l faces containing the point. Always 1 for points
-    of the cube. The dimension is the point's number of coordinates. Every
-    face is tested by its own relation bits, a machine word of faces at a
-    time; `max_expressions` is the budget of the face enumeration."""
+    of the cube. The point is any sequence of integer coordinates, a list
+    included, and its length is the dimension. Only the order type of the
+    coordinates counts, so a point off the cube, with negative coordinates
+    say, also has multiplicity 1. Every face is tested by its own relation
+    bits, a machine word of faces at a time; `max_expressions` is the
+    budget of the face enumeration."""
+    point = tuple(point)
+    check_integers("coordinates must be integers, got {values}", *point)
     counts = _containing_counts(point, max_expressions)
     return sum(counts[::2]) - sum(counts[1::2])

@@ -146,12 +146,12 @@ def _group_factor(size: int) -> int:
     )
 
 
-def oracle_signed_cover(point: "LatticePoint") -> int:
+def oracle_signed_cover(point: tuple[int, ...]) -> int:
     """Signed cover multiplicity by the algebraic shortcut: the sum
     factorizes over groups of coordinates sharing a value, one factor per
-    group, each factor 1. Reads only the point's `coords`."""
+    group, each factor 1. The point is its tuple of coordinates."""
     result = 1
-    for value in set(point.coords):
-        group_size = sum(1 for c in point.coords if c == value)
+    for value in set(point):
+        group_size = sum(1 for c in point if c == value)
         result *= _group_factor(group_size)
     return result

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from itertools import chain, repeat, zip_longest
+from itertools import chain, count, repeat, zip_longest
 from operator import mul, neg
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -57,9 +57,12 @@ def _validate(p: int, n: int) -> None:
 
 
 def _count(items: Iterable) -> int:
-    """How many items there are, counted without a Python frame per item."""
-    last = deque(enumerate(items, 1), maxlen=1)
-    return last[0][0] if last else 0
+    """How many items there are, counted in C. The deque keeps no item, so
+    `zip` reuses one result tuple throughout; the items come first in it,
+    so the counter is not read past the last item."""
+    counter = count()
+    deque(zip(items, counter), maxlen=0)
+    return next(counter)
 
 
 def verify_algebraic(p: int, n: int) -> VerificationReport:
@@ -132,7 +135,7 @@ def verify_pointwise(
         multiplicity = point_multiplicity(point, max_expressions=max_expressions)
         rhs += multiplicity
         if multiplicity != 1 and first_failure is None:
-            first_failure = point.coords
+            first_failure = point
     lhs = n ** p
     return VerificationReport(
         p, n, lhs, "pointwise", rhs, (), first_failure is None and lhs == rhs,

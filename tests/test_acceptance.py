@@ -116,7 +116,7 @@ def test_criterion_7_figurate_oracle():
                 for n in range(1, 5):
                     scanned = sum(
                         1 for point in cube_points(p, n)
-                        if oracle_facet_contains(face.blocks, point.coords)
+                        if oracle_facet_contains(face.blocks, point)
                     )
                     assert figurate(face.num_blocks, n) == scanned
     report(7, "figurate matches tuple-scan oracle; face point counts match cube scans")

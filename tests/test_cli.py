@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from figulat import cli, combinatorics, verifier
+from figulat import cli, combinatorics, oracles, verifier
 from figulat.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -525,6 +525,17 @@ class TestAuditCommand:
             for k in (1, 2) for n in (1, 2)
         ]
         assert err == "audit failed: 4 mismatches\n"
+
+    def test_a_signed_cover_mismatch_names_its_point_by_its_coordinates(self, monkeypatch):
+        monkeypatch.setattr(oracles, "oracle_signed_cover", lambda point: 0)
+        code, out, err = run(self.SMALL[:-4] + ["--cover-p-max", "2", "--cover-n-max", "2"])
+        assert code == 1
+        assert out.splitlines() == [
+            f"MISMATCH signed cover p={p} n={n} point=({point}): computed 1, oracle 0"
+            for p, n, point in [(1, 1, "0"), (1, 2, "0"), (1, 2, "1"), (2, 1, "0,0"),
+                                (2, 2, "0,0"), (2, 2, "0,1"), (2, 2, "1,0"), (2, 2, "1,1")]
+        ]
+        assert err == "audit failed: 8 mismatches\n"
 
     def test_a_wrong_face_count_row_fails_exactly_the_families_that_read_it(
             self, monkeypatch):

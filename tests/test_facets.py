@@ -14,7 +14,6 @@ from figulat.facets import (
     enumerate_facets,
     facet_to_surjection,
 )
-from figulat.lattice import LatticePoint
 from figulat.oracles import oracle_collapsed_faces, oracle_surjection_to_facet
 
 
@@ -29,7 +28,6 @@ def brute_surjections(m, k):
 class TestStrictEquality:
     @pytest.mark.parametrize("cls, fields", [
         pytest.param(OrderedSetPartition, (((1, 2), (3,)),), id="face"),
-        pytest.param(LatticePoint, ((1, 0), 2), id="point"),
     ])
     def test_value_differs_from_its_bare_tuple(self, cls, fields):
         value = cls(*fields)
@@ -43,11 +41,8 @@ class TestStrictEquality:
     @pytest.mark.parametrize("cls, lists, tuples, non_integer", [
         pytest.param(OrderedSetPartition, ([[1], [2]],), (((1,), (2,)),),
                      (((1.0,), (2,)),), id="face"),
-        pytest.param(LatticePoint, ([1, 0], 2), ((1, 0), 2), ((0.5, 0), 2), id="point"),
         pytest.param(OrderedSetPartition, ([[1], [2]],), (((1,), (2,)),),
                      (((True,), (2,)),), id="face-bool"),
-        pytest.param(LatticePoint, ([1, 0], 2), ((1, 0), 2), ((True, False), 2),
-                     id="point-bool"),
     ])
     def test_stores_tuples_and_rejects_non_integers(self, cls, lists, tuples, non_integer):
         value = cls(*lists)
@@ -61,8 +56,6 @@ class TestStrictEquality:
         assert face._replace(blocks=((1,), (2, 3))) == OrderedSetPartition(((1,), (2, 3)))
         with pytest.raises(DomainError):
             face._replace(blocks=((2, 1), (3,)))
-        with pytest.raises(DomainError):
-            LatticePoint((1, 0), 2)._replace(side=1)
 
     def test_dict_keyed_by_faces_misses_bare_tuples(self):
         faces = enumerate_facets(4, 1)

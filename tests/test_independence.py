@@ -12,7 +12,7 @@ of the package.
 import pytest
 
 from figulat import oracles
-from figulat.lattice import LatticePoint, cube_points
+from figulat.lattice import cube_points
 from figulat.verifier import verify_algebraic, verify_geometric, verify_pointwise
 
 CELLS = [(1, 1), (2, 3), (3, 2), (4, 3)]
@@ -70,7 +70,7 @@ def test_pointwise_and_the_signed_cover_oracle_share_nothing(routes, record_call
 
 
 @pytest.mark.parametrize("oracle, args", [
-    (oracles.oracle_signed_cover, (LatticePoint((2, 0, 2, 1), 3),)),
+    (oracles.oracle_signed_cover, ((2, 0, 2, 1),)),
     (oracles.oracle_surjections, (4, 2)),
     (oracles.oracle_set_partitions, (4,)),
     (oracles.oracle_weakly_decreasing_tuples, (3, 4)),

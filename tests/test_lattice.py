@@ -1,4 +1,3 @@
-import inspect
 import sys
 import tracemalloc
 from collections import Counter, defaultdict
@@ -11,13 +10,9 @@ from figulat import lattice
 from figulat.combinatorics import facet_count, figurate
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, enumerate_facets
-from figulat.lattice import LatticePoint, cube_points, enumerate_points, point_multiplicity
+from figulat.lattice import cube_points, enumerate_points, point_multiplicity
 from figulat.oracles import oracle_facet_contains
 from figulat.verifier import verify_geometric, verify_pointwise
-
-
-def pt(coords, n):
-    return LatticePoint(tuple(coords), n)
 
 
 def point_count(face, n):
@@ -25,10 +20,10 @@ def point_count(face, n):
 
 
 def side_error(side):
-    """The message `LatticePoint` rejects `side` with."""
-    with pytest.raises(DomainError) as raised:
-        LatticePoint((0,), side)
-    return str(raised.value)
+    """The message the point generators reject `side` with."""
+    if type(side) is not int:
+        return f"side must be an integer, got {side!r}"
+    return f"side must be >= 1, got {side}"
 
 
 def faces_by_codimension(p):
@@ -39,7 +34,7 @@ def faces_by_codimension(p):
 def signed_count(faces_by_l, q):
     """Signed cover multiplicity counted with the membership oracle, uncached."""
     return sum(
-        (-1) ** l * sum(1 for f in faces if oracle_facet_contains(f.blocks, q.coords))
+        (-1) ** l * sum(1 for f in faces if oracle_facet_contains(f.blocks, q))
         for l, faces in enumerate(faces_by_l)
     )
 
@@ -53,54 +48,27 @@ def scan_cube(f, p, n):
     ]
 
 
-class TestLatticePoint:
-    def test_validates_range(self):
-        with pytest.raises(DomainError):
-            pt((0, 2), 2)
-        with pytest.raises(DomainError):
-            pt((-1,), 3)
-
-    def test_rejects_side_zero(self):
-        with pytest.raises(DomainError):
-            pt((), 0)
-
-    def test_rejects_a_side_that_is_not_an_integer(self):
-        for side in (1.5, True, False):
-            with pytest.raises(DomainError, match="integer"):
-                LatticePoint((0,), side)
-
-    def test_accepts_both_ends_of_the_range(self):
-        assert pt((0, 4, 2), 5).coords == (0, 4, 2)
-        assert pt((0,), 1).coords == (0,)
-
-    def test_accepts_no_coordinates(self):
-        assert pt((), 1).coords == ()
-
-    def test_text(self):
-        assert pt((1, 0, 2), 3).text() == "1,0,2"
-
-
 class TestEnumeratePoints:
     def test_diagonal(self):
         f = OrderedSetPartition(((1, 2),))
-        points = [p.coords for p in enumerate_points(f, 2)]
+        points = list(enumerate_points(f, 2))
         assert points == [(0, 0), (1, 1)]
 
     def test_half_square(self):
         f = OrderedSetPartition(((1,), (2,)))
-        points = [p.coords for p in enumerate_points(f, 2)]
+        points = list(enumerate_points(f, 2))
         assert points == [(0, 0), (1, 0), (1, 1)]
 
     def test_side_one(self):
         f = OrderedSetPartition(((1,), (2, 3)))
-        assert [p.coords for p in enumerate_points(f, 1)] == [(0, 0, 0)]
+        assert list(enumerate_points(f, 1)) == [(0, 0, 0)]
 
     def test_matches_cube_scan(self):
         for p in range(1, 5):
             for l in range(p):
                 for f in enumerate_facets(p, l):
                     for n in range(1, 5):
-                        enumerated = [q.coords for q in enumerate_points(f, n)]
+                        enumerated = list(enumerate_points(f, n))
                         assert sorted(enumerated) == sorted(scan_cube(f, p, n))
                         assert len(enumerated) == len(set(enumerated))
 
@@ -121,29 +89,22 @@ class TestEnumeratePoints:
                                 for idx in block:
                                     coords[idx - 1] = value
                             expected.append(tuple(coords))
-                        got = [q.coords for q in enumerate_points(f, n)]
+                        got = list(enumerate_points(f, n))
                         assert got == expected
 
-    def test_generated_points_skip_validation_and_pass_it(self, count_validations):
-        validated = count_validations(LatticePoint)
+    def test_generated_points_are_coordinate_tuples_in_range(self):
         for p in range(1, 6):
             for l in range(p):
                 for f in enumerate_facets(p, l):
                     for n in range(1, 5):
-                        points = list(enumerate_points(f, n))
-                        assert validated == []
-                        for q in points:
-                            assert type(q) is LatticePoint
-                            rebuilt = LatticePoint(q.coords, q.side)
-                            assert rebuilt == q and not rebuilt != q and hash(rebuilt) == hash(q)
-                            assert q != tuple(q)
-                        assert len(validated) == len(points)
-                        validated.clear()
+                        for q in enumerate_points(f, n):
+                            assert type(q) is tuple and len(q) == p
+                            assert all(type(c) is int and 0 <= c < n for c in q)
 
     def test_face_with_more_blocks_than_the_recursion_limit(self):
         k = sys.getrecursionlimit() + 10
         f = OrderedSetPartition(tuple((i,) for i in range(1, k + 1)))
-        assert [q.coords for q in enumerate_points(f, 1)] == [(0,) * k]
+        assert list(enumerate_points(f, 1)) == [(0,) * k]
 
     def test_budget(self):
         f = OrderedSetPartition(((1,), (2,), (3,)))
@@ -191,7 +152,7 @@ class TestFacePointCounts:
 
 class TestCubePoints:
     def test_lexicographic_and_complete(self):
-        points = [q.coords for q in cube_points(2, 3)]
+        points = list(cube_points(2, 3))
         assert points == sorted(product(range(3), repeat=2))
 
     def test_budget(self):
@@ -209,8 +170,9 @@ class TestCubePoints:
         with pytest.raises(DomainError, match="^point cap must be an integer >= 1"):
             cube_points(2, 2, max_points=cap)
 
-    def test_is_a_generator(self):
-        assert inspect.isgenerator(cube_points(2, 2))
+    def test_is_lazy(self):
+        points = cube_points(2, 2)
+        assert iter(points) is points and next(points) == (0, 0)
 
     @pytest.mark.parametrize("p,n", [
         (0, 1), (1, 0), (2, True), (2, 2.0), (True, 2), (2.0, 2),
@@ -221,46 +183,35 @@ class TestCubePoints:
         if type(p) is int and p >= 1:
             assert str(raised.value) == side_error(n)
 
-    def test_generated_points_skip_validation_and_pass_it(self, count_validations):
-        validated = count_validations(LatticePoint)
+    def test_generated_points_are_coordinate_tuples_in_range(self):
         for p in range(1, 11):
             for n in range(1, 5):
                 if n ** p > 1024:
                     continue
-                points = list(cube_points(p, n))
-                assert validated == []
-                for q in points:
-                    assert type(q) is LatticePoint
-                    rebuilt = LatticePoint(q.coords, q.side)
-                    assert rebuilt == q and not rebuilt != q and hash(rebuilt) == hash(q)
-                    assert q != tuple(q)
-                assert len(validated) == len(points)
-                validated.clear()
+                for q in cube_points(p, n):
+                    assert type(q) is tuple and len(q) == p
+                    assert all(type(c) is int and 0 <= c < n for c in q)
 
 
-def test_generators_skip_both_validators(count_validations):
+def test_generators_skip_the_face_validator(count_validations):
     faces = count_validations(OrderedSetPartition)
-    points = count_validations(LatticePoint)
     for l in range(6):
         for f in enumerate_facets(6, l):
             for _ in enumerate_points(f, 2):
                 pass
-    for _ in cube_points(6, 2):
-        pass
-    assert (len(faces), len(points)) == (0, 0)
+    assert faces == []
     OrderedSetPartition(((1,),))
-    LatticePoint((0,), 1)
-    assert (len(faces), len(points)) == (1, 1)
+    assert len(faces) == 1
 
 
 class TestPointMultiplicity:
     def test_hand_checked_pairs(self):
-        assert point_multiplicity(pt((1, 0), 2)) == 1
-        assert point_multiplicity(pt((1, 1), 2)) == 1
+        assert point_multiplicity((1, 0)) == 1
+        assert point_multiplicity((1, 1)) == 1
 
     def test_origin(self):
         for p in range(1, 5):
-            assert point_multiplicity(pt((0,) * p, 1)) == 1
+            assert point_multiplicity((0,) * p) == 1
 
     def test_always_one(self):
         for p in range(1, 5):
@@ -272,17 +223,35 @@ class TestPointMultiplicity:
         for p in range(1, 5):
             top = enumerate_facets(p, 0)
             for q in cube_points(p, 3):
-                assert any(oracle_facet_contains(f.blocks, q.coords) for f in top)
+                assert any(oracle_facet_contains(f.blocks, q) for f in top)
 
     def test_rejects_dimension_zero(self):
         with pytest.raises(DomainError, match=r"^dimension must be >= 1, got p=0$"):
-            point_multiplicity(pt((), 1))
+            point_multiplicity(())
+
+    @pytest.mark.parametrize("point", [
+        pytest.param((1, True), id="bool"), pytest.param((0, 1.0), id="float"),
+    ])
+    def test_rejects_a_coordinate_that_is_not_an_integer(self, point):
+        with pytest.raises(DomainError) as raised:
+            point_multiplicity(point)
+        assert str(raised.value) == f"coordinates must be integers, got {point}"
+
+    def test_accepts_a_list(self):
+        assert point_multiplicity([2, 0, 1]) == point_multiplicity([1, 0, 1]) == 1
+
+    def test_only_the_order_type_counts(self):
+        # Off the cube, but ordered as (0, 2, 0, 1).
+        cap = DEFAULT_MAX_EXPRESSIONS
+        assert point_multiplicity((-3, 5, -3, 0)) == 1
+        assert lattice._containing_counts((-3, 5, -3, 0), cap) == \
+            lattice._containing_counts((0, 2, 0, 1), cap)
 
     def test_a_bool_cap_is_refused_after_its_int_twin_is_cached(self):
         # True == 1 and hashes alike, so the face index is cached by type.
-        assert point_multiplicity(pt((0,), 1), max_expressions=1) == 1
+        assert point_multiplicity((0,), max_expressions=1) == 1
         with pytest.raises(DomainError, match="^expression cap must be an integer >= 1"):
-            point_multiplicity(pt((0,), 1), max_expressions=True)
+            point_multiplicity((0,), max_expressions=True)
 
     def test_the_budget_is_checked_before_the_point_is_encoded(self, monkeypatch):
         # 12! expressions at l = 0 exceed the default cap of 9! * 2^8.
@@ -290,12 +259,12 @@ class TestPointMultiplicity:
             raise AssertionError("the point was encoded")
         monkeypatch.setattr(lattice, "_weak_order", refuse)
         with pytest.raises(BudgetExceededError):
-            point_multiplicity(pt((0,) * 12, 1))
+            point_multiplicity((0,) * 12)
 
     def test_expression_cap_is_keyword_only(self):
         # A caller that still passes p must not have it taken as the cap.
         with pytest.raises(TypeError):
-            point_multiplicity(pt((1, 0), 2), 2)
+            point_multiplicity((1, 0), 2)
 
 
 class TestFaceRelationIndex:
@@ -311,11 +280,11 @@ class TestFaceRelationIndex:
                 assert span == (start, len(faces))
                 for n in range(1, 4):
                     for q in cube_points(p, n):
-                        kind = lattice._weak_order(q.coords)
+                        kind = lattice._weak_order(q)
                         lacked = [faces_of for r, faces_of in enumerate(sets) if not kind >> r & 1]
                         for f, face in enumerate(faces, start):
                             held = not any(faces_of >> f & 1 for faces_of in lacked)
-                            assert held == oracle_facet_contains(face.blocks, q.coords)
+                            assert held == oracle_facet_contains(face.blocks, q)
                 start += len(faces)
             assert all(faces_of >> start == 0 for faces_of in sets)
 
@@ -352,8 +321,7 @@ class TestFaceRelationIndex:
         faces = faces_by_codimension(6)
         for coords in [(0,) * 6, (2, 1, 0, 2, 1, 0), (0, 1, 2, 2, 1, 0),
                        (1, 1, 0, 0, 2, 2), (2, 2, 2, 2, 2, 1), (0, 3, 1, 3, 2, 0)]:
-            q = pt(coords, 4)
-            assert point_multiplicity(q) == signed_count(faces, q) == 1
+            assert point_multiplicity(coords) == signed_count(faces, coords) == 1
 
     def test_types_are_exactly_weak_orders(self):
         """Points of side n group by relation into types with k distinct
@@ -362,7 +330,7 @@ class TestFaceRelationIndex:
             for n in range(1, 5):
                 groups = defaultdict(list)
                 for q in cube_points(p, n):
-                    groups[lattice._weak_order(q.coords)].append(q.coords)
+                    groups[lattice._weak_order(q)].append(q)
                 types_by_k = Counter()
                 for members in groups.values():
                     (k,) = {len(set(coords)) for coords in members}
@@ -392,7 +360,7 @@ class TestFaceRelationIndex:
         real.cache_clear()
         try:
             report = verify_pointwise(4, 3)
-            counts = [(q.coords, signed_count(broken, q)) for q in cube_points(4, 3)]
+            counts = [(q, signed_count(broken, q)) for q in cube_points(4, 3)]
             assert report.ok is False
             assert report.first_failure == next(c for c, m in counts if m != 1)
             assert report.rhs == sum(m for _, m in counts)
@@ -433,7 +401,7 @@ class TestFaceRelationIndex:
         try:
             with pytest.raises(BudgetExceededError,
                                match=r"\(p=5, l=2\).*needs 720, budget is 500"):
-                point_multiplicity(pt((0,) * 5, 1), max_expressions=500)
+                point_multiplicity((0,) * 5, max_expressions=500)
         finally:
             lattice._face_index.cache_clear()
 
@@ -452,7 +420,7 @@ class TestFaceRelationIndex:
             assert verify_pointwise(3, 2, max_expressions=raised).ok is True
             assert caps == [raised]
             caps.clear()
-            assert point_multiplicity(pt((1, 0, 1), 2)) == 1
+            assert point_multiplicity((1, 0, 1)) == 1
             assert caps == [DEFAULT_MAX_EXPRESSIONS]
         finally:
             lattice._face_index.cache_clear()

@@ -1,9 +1,7 @@
-from types import SimpleNamespace
-
 import pytest
 
 from figulat.errors import BudgetExceededError, DomainError
-from figulat.lattice import LatticePoint, cube_points, point_multiplicity
+from figulat.lattice import cube_points, point_multiplicity
 from figulat.oracles import (
     DEFAULT_MAX_MAPS,
     oracle_collapsed_faces,
@@ -172,12 +170,12 @@ class TestOracleSurjectionToFacet:
 
 class TestOracleSignedCover:
     def test_hand_checked(self):
-        assert oracle_signed_cover(LatticePoint((1, 0), 2)) == 1
+        assert oracle_signed_cover((1, 0)) == 1
         # one group of size 2: -1!*S(2,1) + 2!*S(2,2) = -1 + 2
-        assert oracle_signed_cover(LatticePoint((1, 1), 2)) == 1
+        assert oracle_signed_cover((1, 1)) == 1
 
     def test_reads_only_the_coordinates(self):
-        assert oracle_signed_cover(SimpleNamespace(coords=(2, 0, 2, 1))) == 1
+        assert oracle_signed_cover([2, 0, 2, 1]) == 1
 
     def test_agrees_with_geometric_multiplicity(self):
         for p in range(1, 5):

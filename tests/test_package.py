@@ -200,13 +200,10 @@ COMMANDS = [
     "audit --m-max 3 --k-max 3 --n-max 3 --p-max 3 --cover-p-max 2 --cover-n-max 2",
 ]
 REFUSALS = ["facets --p 4 --l 1 --max-expressions 1", "verify --p 3 --n 3 --max-points 8"]
-# The value types' validating constructors are public library API that no
-# command builds through: the generators build faces and points with
-# `tuple.__new__`, since what they build is valid by construction.
-NOT_RUN_BY_A_COMMAND = {
-    "figulat.facets.OrderedSetPartition.__new__",
-    "figulat.lattice.LatticePoint.__new__",
-}
+# The face's validating constructor is public library API that no command
+# builds through: the generators build faces with `tuple.__new__`, since
+# what they build is valid by construction.
+NOT_RUN_BY_A_COMMAND = {"figulat.facets.OrderedSetPartition.__new__"}
 
 
 def module_functions(module):

@@ -1,9 +1,10 @@
 """Properties of the value types and the lattice layer on drawn inputs.
 
 The exhaustive tests stop at p <= 5-7; these draw faces of {1..p} for
-p <= 12 and points of the cube [0, n-1]^p. Each validated constructor, and
-the oracle that turns a surjection into a face, is compared with a
-predicate written here, independent of the package.
+p <= 12 and points of the cube [0, n-1]^p. The face constructor, the
+coordinate check of `point_multiplicity` and the oracle that turns a
+surjection into a face are each compared with a predicate written here,
+independent of the package.
 """
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 from figulat.combinatorics import figurate
 from figulat.errors import DomainError
 from figulat.facets import OrderedSetPartition, facet_to_surjection
-from figulat.lattice import LatticePoint, _relation, _weak_order, enumerate_points
+from figulat.lattice import _relation, _weak_order, enumerate_points, point_multiplicity
 from figulat.oracles import oracle_facet_contains, oracle_surjection_to_facet
 
 MAX_P = 12
@@ -63,7 +64,7 @@ def faces_and_points(draw):
     moved = draw(st.booleans())
     if moved:
         coords[draw(st.integers(0, p - 1))] = draw(st.integers(0, n - 1))
-    return face, LatticePoint(tuple(coords), n), inside and not moved
+    return face, tuple(coords), inside and not moved
 
 
 @given(faces())
@@ -83,7 +84,7 @@ def test_enumerated_points_lie_on_the_face_and_count_figurate(face, n):
     count = 0
     # The point cap bounds n^k, not the figurate(k, n) points enumerated.
     for point in enumerate_points(face, n, max_points=n ** k):
-        assert oracle_facet_contains(face.blocks, point.coords)
+        assert oracle_facet_contains(face.blocks, point)
         count += 1
     assert count == figurate(k, n)
 
@@ -91,10 +92,10 @@ def test_enumerated_points_lie_on_the_face_and_count_figurate(face, n):
 @given(faces_and_points())
 def test_relation_test_matches_the_membership_oracle(drawn):
     face, point, inside = drawn
-    contained = oracle_facet_contains(face.blocks, point.coords)
+    contained = oracle_facet_contains(face.blocks, point)
     assert contained or not inside
     relation = _relation(reversed(face.blocks), face.ground_size)
-    assert (relation & ~_weak_order(point.coords) == 0) == contained
+    assert (relation & ~_weak_order(point) == 0) == contained
 
 
 def is_integer(value):
@@ -120,13 +121,8 @@ def valid_surjection(values):
     )
 
 
-def valid_point(coords, side):
-    return (
-        is_integer(side)
-        and side >= 1
-        and all(map(is_integer, coords))
-        and all(0 <= c < side for c in coords)
-    )
+def valid_point(coords):
+    return len(coords) > 0 and all(map(is_integer, coords))
 
 
 NOT_INTEGERS = st.sampled_from([True, False, 1.0, 2.0])
@@ -163,13 +159,6 @@ def face_arguments(draw):
     return ([] if draw(rarely) else blocks,)
 
 
-@st.composite
-def point_arguments(draw):
-    side = draw(st.one_of(st.integers(-1, 0), NOT_INTEGERS) if draw(rarely) else st.integers(1, 5))
-    top = side if is_integer(side) and side > 0 else 1
-    return draw(spoiled(st.lists(st.integers(-1, top), max_size=5))), side
-
-
 surjection_arguments = st.tuples(spoiled(st.one_of(
     surjections(), st.lists(st.integers(-1, 5), max_size=6)
 )))
@@ -177,7 +166,6 @@ surjection_arguments = st.tuples(spoiled(st.one_of(
 
 @pytest.mark.parametrize("build, arguments, valid", [
     pytest.param(OrderedSetPartition, face_arguments(), valid_face, id="face"),
-    pytest.param(LatticePoint, point_arguments(), valid_point, id="point"),
 ])
 @given(data=st.data())
 def test_constructor_accepts_exactly_the_valid_inputs(build, arguments, valid, data):
@@ -191,6 +179,19 @@ def test_constructor_accepts_exactly_the_valid_inputs(build, arguments, valid, d
     cls = type(value)
     assert cls(*value) == value and cls._make(value) == value
     assert hash(cls(*value)) == hash(value)
+
+
+@given(spoiled(st.lists(st.integers(-2, 5), max_size=5)))
+def test_point_multiplicity_accepts_exactly_the_integer_points(coords):
+    """Any nonempty sequence of integers, off the cube too, has signed
+    cover multiplicity 1; anything else is refused."""
+    try:
+        multiplicity = point_multiplicity(coords)
+    except DomainError:
+        assert not valid_point(coords)
+        return
+    assert valid_point(coords)
+    assert multiplicity == 1
 
 
 @given(surjection_arguments)
