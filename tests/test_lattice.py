@@ -101,6 +101,20 @@ class TestEnumeratePoints:
                             assert type(q) is tuple and len(q) == p
                             assert all(type(c) is int and 0 <= c < n for c in q)
 
+    def test_runs_from_the_origin_to_the_far_corner(self):
+        for p in range(1, 5):
+            for l in range(p):
+                for f in enumerate_facets(p, l):
+                    for n in range(1, 4):
+                        points = list(enumerate_points(f, n))
+                        assert points[0] == (0,) * p and points[-1] == (n - 1,) * p
+
+    def test_points_are_found_among_the_cube_points_by_value(self):
+        cube = set(cube_points(4, 3))
+        for l in range(4):
+            for f in enumerate_facets(4, l):
+                assert cube.issuperset(enumerate_points(f, 3))
+
     def test_face_with_more_blocks_than_the_recursion_limit(self):
         k = sys.getrecursionlimit() + 10
         f = OrderedSetPartition(tuple((i,) for i in range(1, k + 1)))
@@ -236,6 +250,11 @@ class TestPointMultiplicity:
         with pytest.raises(DomainError) as raised:
             point_multiplicity(point)
         assert str(raised.value) == f"coordinates must be integers, got {point}"
+
+    def test_a_list_is_refused_with_its_coordinates_as_a_tuple(self):
+        with pytest.raises(DomainError) as raised:
+            point_multiplicity([0, 0.5, 2])
+        assert str(raised.value) == "coordinates must be integers, got (0, 0.5, 2)"
 
     def test_accepts_a_list(self):
         assert point_multiplicity([2, 0, 1]) == point_multiplicity([1, 0, 1]) == 1

@@ -155,6 +155,22 @@ class TestPointwiseRoute:
         with pytest.raises(BudgetExceededError, match="cube scan"):
             verify_pointwise(3, 3, max_points=8, max_expressions=1)
 
+    def test_first_failure_is_the_plain_coordinate_tuple(self, monkeypatch):
+        monkeypatch.setattr(verifier, "point_multiplicity",
+                            lambda point, *, max_expressions: 0 if point[0] else 1)
+        report = verify_pointwise(2, 3)
+        assert report.ok is False and report.rhs == 3
+        assert type(report.first_failure) is tuple and report.first_failure == (1, 0)
+
+
+def test_count_counts_every_item_and_reads_no_further():
+    # Falsy items count too, and the count neither stops early nor runs one over.
+    assert verifier._count(iter([])) == 0
+    assert verifier._count([None, 0, (), ""]) == 4
+    items = iter(range(1000))
+    assert verifier._count(items) == 1000
+    assert next(items, None) is None
+
 
 def test_budgets_are_keyword_only_on_both_routes():
     for route in (verify_geometric, verify_pointwise):
