@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from . import combinatorics
 from .errors import BudgetExceededError, DomainError
@@ -50,23 +51,28 @@ def parse_range(text: str, minimum: int, flag: str) -> range:
     return range(lo, hi + 1)
 
 
-def emit_records(records: list[dict], fmt: str, out) -> None:
-    """Write records in the chosen format; all formats carry the same
-    fields, including the schema version."""
-    if not records:
+def emit_records(records: Iterable[dict], fmt: str, out) -> None:
+    """Write records in the chosen format as they come; all formats carry
+    the same fields, the schema version first, and write nothing, not even
+    a header, when there are no records. json-lines and csv write each
+    record before the next is made. plain-table keeps the text of each row,
+    since it needs every column's width before its first line."""
+    tagged = ({"schema": SCHEMA_VERSION, **r} for r in records)
+    first = next(tagged, None)
+    if first is None:
         return
-    tagged = [{"schema": SCHEMA_VERSION, **r} for r in records]
+    keys = list(first)
+    tagged = chain([first], tagged)
     if fmt == "json-lines":
         import json
         for record in tagged:
             out.write(json.dumps(record) + "\n")
     elif fmt == "csv":
         import csv
-        writer = csv.DictWriter(out, fieldnames=list(tagged[0].keys()))
+        writer = csv.DictWriter(out, fieldnames=keys)
         writer.writeheader()
         writer.writerows(tagged)
     else:  # plain-table
-        keys = list(tagged[0].keys())
         rows = [[str(r[k]) for k in keys] for r in tagged]
         widths = [max(len(k), *(len(row[i]) for row in rows)) for i, k in enumerate(keys)]
         out.write("  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip() + "\n")
@@ -85,26 +91,22 @@ def positive_int(text: str) -> int:
 
 def cmd_verify(args, out, err) -> int:
     routes = ROUTES if args.route == "all" else [args.route]
-    records = []
-    any_failed = False
-    any_skipped = False
-    for cell in sweep(args.p, args.n, routes, args.max_expressions, args.max_points):
-        if isinstance(cell, SkippedCell):
-            any_skipped = True
-            err.write(f"skipped p={cell.p} n={cell.n} route={cell.route}: {cell.reason}\n")
-            continue
-        if not cell.ok:
-            any_failed = True
-        records.append({
-            "p": cell.p,
-            "n": cell.n,
-            "route": cell.route,
-            "lhs": cell.lhs,
-            "rhs": cell.rhs,
-            "ok": cell.ok,
-        })
-        del cell  # before the next cell runs: one report is alive at a time
-    emit_records(records, args.format, out)
+    cells = sweep(args.p, args.n, routes, args.max_expressions, args.max_points)
+    any_failed = any_skipped = False
+
+    def records():
+        nonlocal any_failed, any_skipped
+        for cell in cells:
+            if isinstance(cell, SkippedCell):
+                any_skipped = True
+                err.write(f"skipped p={cell.p} n={cell.n} route={cell.route}: {cell.reason}\n")
+                continue
+            any_failed = any_failed or not cell.ok
+            yield {"p": cell.p, "n": cell.n, "route": cell.route,
+                   "lhs": cell.lhs, "rhs": cell.rhs, "ok": cell.ok}
+            del cell  # before the next cell runs: one report is alive at a time
+
+    emit_records(records(), args.format, out)
     if any_failed:
         return EXIT_FAILURE
     if any_skipped:
@@ -117,45 +119,39 @@ def cmd_table(args, out, err) -> int:
     for flag in needed[args.kind]:
         if getattr(args, flag) is None:
             raise DomainError(f"table --kind {args.kind} requires --{flag}")
-    records = []
     if args.kind == "stirling":
-        for m in args.m:
-            for j in range(1, m + 1):
-                records.append({
-                    "kind": "stirling", "symbol": f"S({m},{j})",
-                    "m": m, "j": j,
-                    "value": combinatorics.stirling2_recurrence(m, j),
-                })
+        records = (
+            {"kind": "stirling", "symbol": f"S({m},{j})", "m": m, "j": j,
+             "value": combinatorics.stirling2_recurrence(m, j)}
+            for m in args.m for j in range(1, m + 1))
     elif args.kind == "facet-counts":
-        for p in args.p:
-            for l, count in enumerate(combinatorics.facet_counts(p)):
-                records.append({
-                    "kind": "facet-counts", "symbol": f"c({p},{l})",
-                    "p": p, "l": l,
-                    "value": count,
-                })
+        records = (
+            {"kind": "facet-counts", "symbol": f"c({p},{l})", "p": p, "l": l,
+             "value": count}
+            for p in args.p for l, count in enumerate(combinatorics.facet_counts(p)))
     else:  # figurate
-        for k in args.k:
-            for n in args.n:
-                records.append({
-                    "kind": "figurate", "symbol": f"F^{k}_{n}",
-                    "k": k, "n": n,
-                    "value": combinatorics.figurate(k, n),
-                })
+        records = (
+            {"kind": "figurate", "symbol": f"F^{k}_{n}", "k": k, "n": n,
+             "value": combinatorics.figurate(k, n)}
+            for k in args.k for n in args.n)
     emit_records(records, args.format, out)
     return EXIT_OK
 
 
 def cmd_facets(args, out, err) -> int:
-    records = []
-    for face in enumerate_facets(args.p, args.l, args.max_expressions):
-        record = {"p": args.p, "l": args.l, "facet": face.text()}
-        if args.with_surjections:
-            record["surjection"] = ",".join(map(str, facet_to_surjection(face)))
-        if args.with_counts is not None:
-            record["points"] = combinatorics.figurate(face.num_blocks, args.with_counts)
-        records.append(record)
-    emit_records(records, args.format, out)
+    faces = enumerate_facets(args.p, args.l, args.max_expressions)
+    # Every codimension-l face has p - l blocks, so one count serves them all.
+    counts = {} if args.with_counts is None else {
+        "points": combinatorics.figurate(args.p - args.l, args.with_counts)}
+
+    def records():
+        for face in faces:
+            record = {"p": args.p, "l": args.l, "facet": face.text()}
+            if args.with_surjections:
+                record["surjection"] = ",".join(map(str, facet_to_surjection(face)))
+            yield record | counts
+
+    emit_records(records(), args.format, out)
     return EXIT_OK
 
 

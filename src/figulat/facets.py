@@ -30,8 +30,9 @@ _EXPRESSION_CAP = "expression cap must be an integer >= 1, got {!r}"
 
 
 class _Value:
-    """Mixin for the named-tuple value types: an object equals only an
-    object of its own type, never a bare tuple of the same fields.
+    """Mixin for the named-tuple value type `OrderedSetPartition`: an
+    object equals only an object of its own type, never a bare tuple of
+    the same fields.
 
     Two limits remain. A tuple subclass of another type on the left, such
     as a lookalike named tuple, runs its own tuple comparison first, so

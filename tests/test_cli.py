@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import json
+import os
 import shlex
 import sys
 import tracemalloc
@@ -13,6 +15,9 @@ from figulat import cli, combinatorics, oracles, verifier
 from figulat.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# Argv, exit code, stdout and stderr of the listings, written by
+# `tests/make_cli_corpus.py`.
+CORPUS = json.loads((Path(__file__).resolve().parent / "cli_corpus.json").read_text())
 
 
 def run(argv, env=None, monkeypatch=None):
@@ -244,6 +249,22 @@ class TestVerifyCommand:
         assert err.startswith("Traceback (most recent call last):")
         assert err.endswith("RuntimeError: injected\n")
 
+    def test_a_crash_mid_run_leaves_the_records_written_before_it(self, monkeypatch):
+        real = verifier.verify_algebraic
+
+        def crash_at_2(p, n):
+            if p == 2:
+                raise RuntimeError("injected")
+            return real(p, n)
+        monkeypatch.setattr(verifier, "verify_algebraic", crash_at_2)
+        code, out, err = run(["verify", "--p", "1..3", "--n", "1", "--route", "algebraic",
+                              "--format", "json-lines"])
+        assert code == 4
+        assert out == ('{"schema": "1", "p": 1, "n": 1, "route": "algebraic", '
+                       '"lhs": 1, "rhs": 1, "ok": true}\n')
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: injected\n")
+
     def test_large_p_algebraic_cell(self):
         code, out, err = run(["verify", "--p", "1000", "--n", "2", "--route", "algebraic",
                               "--format", "json-lines"])
@@ -406,6 +427,27 @@ def test_a_sweep_holds_one_report_at_a_time():
     assert peak(f"{n}..{n + 1}") < 1.3 * peak(str(n))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_a_streamed_listing_does_not_grow_with_its_length(fmt):
+    """json-lines and csv write each record as it is made, so a listing
+    twice as long peaks at about the same memory. The output is discarded,
+    and a collection before each run keeps garbage from earlier runs out of
+    the peak."""
+    argv = ["table", "--kind", "figurate", "--k", "1", "--format", fmt, "--n"]
+    with open(os.devnull, "w") as sink:
+        assert main(argv + ["1..10"], out=sink, err=sink) == 0  # imports the writer
+
+        def peak(ns):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv + [ns], out=sink, err=sink) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak("1..10000") < 1.2 * peak("1..5000")
+
+
 class TestTableCommand:
     def test_facet_counts_row(self):
         code, out, _ = run([
@@ -491,6 +533,14 @@ class TestFacetsCommand:
         assert len(records) == 6
         assert all("," in r["surjection"] for r in records)
         assert {r["points"] for r in records} == {3}
+
+    def test_with_counts_computes_one_count_per_listing(self, record_calls):
+        codes = []
+        called = record_calls(lambda: codes.append(main(
+            ["facets", "--p", "4", "--l", "1", "--with-counts", "2"],
+            out=io.StringIO(), err=io.StringIO())))
+        assert codes == [0]
+        assert called["figulat.combinatorics.figurate"] == 1
 
     def test_cap_exceeded(self):
         code, _, err = run([
@@ -612,4 +662,12 @@ def test_readme_cli_example_runs(argv):
     code, out, err = run(argv)
     assert (code, err) == (0, "")
     assert out
+    # The corpus pins its bytes; plain-table is the default format.
+    pinned = argv if "--format" in argv else argv + ["--format", "plain-table"]
+    assert [case["stdout"] for case in CORPUS if case["argv"] == pinned] == [out]
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=lambda case: " ".join(case["argv"]))
+def test_listing_bytes_match_the_corpus(case):
+    assert run(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 

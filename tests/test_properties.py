@@ -1,4 +1,4 @@
-"""Properties of the value types and the lattice layer on drawn inputs.
+"""Properties of the face value type and the lattice layer on drawn inputs.
 
 The exhaustive tests stop at p <= 5-7; these draw faces of {1..p} for
 p <= 12 and points of the cube [0, n-1]^p. The face constructor, the
