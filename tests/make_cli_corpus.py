@@ -6,9 +6,10 @@ Usage, from the root of the repository:
 
 Each case is one argv run through `figulat.cli.main` in process, stored
 with its exit code, stdout and stderr. The cases are every `table` kind,
-`facets` alone and with each flag, every README `## CLI` example but
-`audit` (which `TestAuditCommand` runs), and one refusal of each kind,
-each in all three formats. `tests/test_cli.py` replays them and compares
+`facets` alone and with each flag, `verify` on p <= 5 and n <= 3 by each
+route, every README `## CLI` example but `audit` (the default `audit` is
+pinned by `TestAuditCommand`, so the corpus does not run it twice), and
+one refusal of each kind, each in all three formats. `tests/test_cli.py` replays them and compares
 the bytes. pytest does not collect this file; rerun it only when a change
 to the output is meant, and name the change.
 """
@@ -32,6 +33,9 @@ LISTINGS = [
     "facets --p 3 --l 1",
     "facets --p 3 --l 1 --with-surjections",
     "facets --p 3 --l 1 --with-counts 2",
+    "verify --p 1..5 --n 1..3 --route algebraic",
+    "verify --p 1..5 --n 1..3 --route geometric",
+    "verify --p 1..5 --n 1..3 --route pointwise",
 ]
 REFUSALS = [
     "verify --p 12 --n 1",  # exit 3 after the algebraic record: no face fits the cap
