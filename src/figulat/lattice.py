@@ -2,13 +2,12 @@
 and the signed cover multiplicity of a point.
 
 A face is the set {x : x_i >= x_j for every relation its chain forces},
-so whether it contains a point depends only on the point's weak order
-type. Both are relation bit sets on p indices (bit i*p + j set iff
-x_{i+1} >= x_{j+1}), and a face contains a point iff every bit of the
-face is a bit of the point. The face index holds the faces' bits sliced,
-one int of faces per relation bit, so a point tests a machine word of
-faces at a time. It is built from the faces' first-block recurrence,
-with no face objects.
+and a point lacks relation (i, j) exactly when x_i < x_j. So a face
+contains a point iff it forces none of the relations the point lacks.
+The face index holds the faces' relations bit-sliced, one int of faces
+per relation r = i*p + j on indices i+1 and j+1, so a point tests a
+machine word of faces at a time. It is built from the faces'
+first-block recurrence, with no face objects.
 
 A point is the plain tuple of its coordinates. The point generators
 check their side and cap, then yield the tuples `itertools` builds, with
@@ -20,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, combinations_with_replacement, compress, product
 from operator import itemgetter, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, DomainError, check_integers
 from .facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, check_every_codimension
@@ -81,25 +80,10 @@ def cube_points(
     return product(range(n), repeat=p)
 
 
-def _relation(levels: Iterable[Sequence[int]], p: int) -> int:
-    """The relation bit set of indices 1..p grouped into levels, lowest
-    first: bit i*p + j is set iff index i+1 sits in the level of j+1 or a
-    higher one."""
-    bits = 0
-    at_or_below = 0  # indices in this level or a lower one
-    for level in levels:
-        for idx in level:
-            at_or_below |= 1 << (idx - 1)
-        for idx in level:
-            bits |= at_or_below << ((idx - 1) * p)
-    return bits
-
-
-def _weak_order(values: Sequence[int]) -> int:
-    """The weak order of the values: bit i*p + j is set iff
-    values[i] >= values[j]. Its levels are the indices grouped by value."""
-    levels = ([i for i, v in enumerate(values, 1) if v == w] for w in sorted(set(values)))
-    return _relation(levels, len(values))
+def _lacked(point: tuple[int, ...]) -> list[bool]:
+    """The relations the point lacks: entry r = i*p + j is True iff
+    x_{i+1} < x_{j+1}."""
+    return [a < b for a in point for b in point]
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -160,11 +144,8 @@ def _containing_counts(point: tuple[int, ...], max_expressions: int) -> list[int
     """How many faces of each codimension contain the point: all but those
     in the union of the sets of the relations it lacks. The face index,
     and so every budget, comes before the point is encoded."""
-    p = len(point)
-    sets, spans = _face_index(p, max_expressions)
-    # The point's weak order read from bit 0 up: '0' at each relation it lacks.
-    order = format(_weak_order(point), f"0{p * p}b")[::-1]
-    outside = reduce(or_, compress(sets, map("0".__eq__, order)), 0)
+    sets, spans = _face_index(len(point), max_expressions)
+    outside = reduce(or_, compress(sets, _lacked(point)), 0)
     return [count - (outside >> start & (1 << count) - 1).bit_count() for start, count in spans]
 
 
@@ -176,9 +157,9 @@ def point_multiplicity(
     of the cube. The point is any sequence of integer coordinates, a list
     included, and its length is the dimension. Only the order type of the
     coordinates counts, so a point off the cube, with negative coordinates
-    say, also has multiplicity 1. Every face is tested by its own relation
-    bits, a machine word of faces at a time; `max_expressions` is the
-    budget of the face enumeration."""
+    say, also has multiplicity 1. A face contains the point iff it forces
+    no x_i >= x_j with x_i < x_j; the faces are tested a machine word at a
+    time; `max_expressions` is the budget of the face enumeration."""
     point = tuple(point)
     check_integers("coordinates must be integers, got {values}", *point)
     counts = _containing_counts(point, max_expressions)

@@ -1,7 +1,7 @@
 import sys
 import tracemalloc
 from collections import Counter, defaultdict
-from itertools import product
+from itertools import compress, product
 from math import comb
 
 import pytest
@@ -9,7 +9,9 @@ import pytest
 from figulat import lattice
 from figulat.combinatorics import facet_count, figurate
 from figulat.errors import BudgetExceededError, DomainError
-from figulat.facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, enumerate_facets
+from figulat.facets import (
+    DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, enumerate_facets, facet_to_surjection,
+)
 from figulat.lattice import cube_points, enumerate_points, point_multiplicity
 from figulat.oracles import oracle_facet_contains
 from figulat.verifier import verify_geometric, verify_pointwise
@@ -29,6 +31,14 @@ def side_error(side):
 def faces_by_codimension(p):
     """Every face of the p-cube, by codimension, in `_face_index` order."""
     return tuple(tuple(enumerate_facets(p, l)) for l in range(p))
+
+
+def forced(face):
+    """The relations the face forces: entry a*p + b is True iff the face
+    forces x_{a+1} >= x_{b+1}, that is iff a+1's block is b+1's or an
+    earlier one."""
+    s = facet_to_surjection(face)
+    return [sa <= sb for sa in s for sb in s]
 
 
 def signed_count(faces_by_l, q):
@@ -274,9 +284,9 @@ class TestPointMultiplicity:
 
     def test_the_budget_is_checked_before_the_point_is_encoded(self, monkeypatch):
         # 12! expressions at l = 0 exceed the default cap of 9! * 2^8.
-        def refuse(values):
+        def refuse(point):
             raise AssertionError("the point was encoded")
-        monkeypatch.setattr(lattice, "_weak_order", refuse)
+        monkeypatch.setattr(lattice, "_lacked", refuse)
         with pytest.raises(BudgetExceededError):
             point_multiplicity((0,) * 12)
 
@@ -299,8 +309,7 @@ class TestFaceRelationIndex:
                 assert span == (start, len(faces))
                 for n in range(1, 4):
                     for q in cube_points(p, n):
-                        kind = lattice._weak_order(q)
-                        lacked = [faces_of for r, faces_of in enumerate(sets) if not kind >> r & 1]
+                        lacked = list(compress(sets, lattice._lacked(q)))
                         for f, face in enumerate(faces, start):
                             held = not any(faces_of >> f & 1 for faces_of in lacked)
                             assert held == oracle_facet_contains(face.blocks, q)
@@ -308,20 +317,19 @@ class TestFaceRelationIndex:
             assert all(faces_of >> start == 0 for faces_of in sets)
 
     def test_index_bits_are_the_per_face_encoding(self):
-        """Bit f of the set of relation r is bit r of face f's own relation
-        bits, which `test_properties` checks against the oracle."""
+        """Bit f of the set of relation r is entry r of the relations face f
+        forces, read off its surjection, which `test_properties` checks
+        against the oracle."""
         for p in range(1, 8):
             sets, spans = lattice._face_index(p, DEFAULT_MAX_EXPRESSIONS)
             total = sum(count for _, count in spans)
-            # Each set read once, as its digits from bit 0 up; column f, read
-            # from the last relation down, is face f's relation bits.
-            digits = [format(faces_of, f"0{total}b")[::-1] for faces_of in reversed(sets)]
-            read = [int("".join(column), 2) for column in zip(*digits)]
+            # Each set read once, as its digits from bit 0 up; column f is
+            # face f's entry for each relation.
+            digits = [format(faces_of, f"0{total}b")[::-1] for faces_of in sets]
+            read = [[digit == "1" for digit in column] for column in zip(*digits)]
             for l, (start, count) in enumerate(spans):
                 faces = enumerate_facets(p, l)
-                assert read[start:start + count] == [
-                    lattice._relation(reversed(face.blocks), p) for face in faces
-                ]
+                assert read[start:start + count] == [forced(face) for face in faces]
 
     def test_containing_counts_are_the_geometric_terms(self):
         """Summed over the cube, the codimension-l faces that contain each
@@ -343,13 +351,14 @@ class TestFaceRelationIndex:
             assert point_multiplicity(coords) == signed_count(faces, coords) == 1
 
     def test_types_are_exactly_weak_orders(self):
-        """Points of side n group by relation into types with k distinct
-        values, C(n, k) points each, and k! * S(p, k) such types."""
+        """Points of side n group by the relations they lack into types
+        with k distinct values, C(n, k) points each, and k! * S(p, k) such
+        types."""
         for p in range(1, 6):
             for n in range(1, 5):
                 groups = defaultdict(list)
                 for q in cube_points(p, n):
-                    groups[lattice._weak_order(q)].append(q)
+                    groups[tuple(lattice._lacked(q))].append(q)
                 types_by_k = Counter()
                 for members in groups.values():
                     (k,) = {len(set(coords)) for coords in members}

@@ -6,13 +6,15 @@ coordinate check of `point_multiplicity` and the oracle that turns a
 surjection into a face are each compared with a predicate written here,
 independent of the package.
 """
+from itertools import compress
+
 import pytest
 from hypothesis import given, strategies as st
 
 from figulat.combinatorics import figurate
 from figulat.errors import DomainError
 from figulat.facets import OrderedSetPartition, facet_to_surjection
-from figulat.lattice import _relation, _weak_order, enumerate_points, point_multiplicity
+from figulat.lattice import _lacked, enumerate_points, point_multiplicity
 from figulat.oracles import oracle_facet_contains, oracle_surjection_to_facet
 
 MAX_P = 12
@@ -94,8 +96,10 @@ def test_relation_test_matches_the_membership_oracle(drawn):
     face, point, inside = drawn
     contained = oracle_facet_contains(face.blocks, point)
     assert contained or not inside
-    relation = _relation(reversed(face.blocks), face.ground_size)
-    assert (relation & ~_weak_order(point) == 0) == contained
+    # The face forces x_a >= x_b iff a's block is b's or an earlier one.
+    s = facet_to_surjection(face)
+    forced = [sa <= sb for sa in s for sb in s]
+    assert (not any(compress(forced, _lacked(point)))) == contained
 
 
 def is_integer(value):
