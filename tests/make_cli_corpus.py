@@ -9,14 +9,21 @@ with its exit code, stdout and stderr. The cases are every `table` kind,
 `facets` alone and with each flag, `verify` on p <= 5 and n <= 3 by each
 route, every README `## CLI` example but `audit` (the default `audit` is
 pinned by `TestAuditCommand`, so the corpus does not run it twice), and
-one refusal of each kind, each in all three formats. `tests/test_cli.py` replays them and compares
-the bytes. pytest does not collect this file; rerun it only when a change
-to the output is meant, and name the change.
+one refusal of each kind, each in all three formats; then the parser's
+own text, once each: `--help` for the program and for each command, and
+one usage error per command. argparse writes that text to `sys.stdout`
+and `sys.stderr`, not to `out` and `err`, and wraps it at `$COLUMNS`, so
+each case runs with both streams captured and `COLUMNS=80`.
+`tests/test_cli.py` replays them the same way and compares the bytes.
+pytest does not collect this file; rerun it only when a change to the
+output is meant, and name the change.
 """
 import io
 import json
+import os
 import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +50,17 @@ REFUSALS = [
     "table --kind stirling",  # exit 2: no --m
     "facets --p 0 --l 0 --with-counts 2",  # exit 2: no dimension 0
 ]
+PARSER = [
+    "--help",
+    "verify --help",
+    "table --help",
+    "facets --help",
+    "audit --help",
+    "verify --p 1 --n 1 --route nope",  # exit 2: the --route choices
+    "table --kind nope",  # exit 2: the --kind choices
+    "facets --p 3",  # exit 2: no --l
+    "audit --m-max 0",  # exit 2: not a positive integer
+]
 
 
 def readme_cli_examples():
@@ -66,15 +84,17 @@ def in_format(command, fmt):
 def cases():
     return [in_format(command, fmt)
             for command in LISTINGS + readme_cli_examples() + REFUSALS
-            for fmt in FORMATS]
+            for fmt in FORMATS] + [shlex.split(command) for command in PARSER]
 
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    code = main(argv, out=out, err=err)
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv, out=out, err=err)
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
     CORPUS.write_text(json.dumps([run(argv) for argv in cases()], indent=1) + "\n")
     print(f"wrote {CORPUS.relative_to(ROOT)}")

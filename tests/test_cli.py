@@ -7,7 +7,9 @@ import shlex
 import sys
 import tracemalloc
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -21,8 +23,12 @@ CORPUS = json.loads((Path(__file__).resolve().parent / "cli_corpus.json").read_t
 
 
 def run(argv, env=None, monkeypatch=None):
+    """Exit code, stdout and stderr of `main(argv)`. argparse writes help
+    and usage errors to `sys.stdout` and `sys.stderr`, wrapped at
+    `$COLUMNS`, so those streams are captured too, at the corpus's 80."""
     out, err = io.StringIO(), io.StringIO()
-    code = main(argv, out=out, err=err)
+    with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
