@@ -3,26 +3,19 @@ listings, and the closed-form-vs-oracle audit.
 
 Exit codes: 0 all ok, 1 identity or audit failure, 2 usage error, 3 a
 sweep cell or listing was skipped for budget reasons, 4 a crash (any other
-exception; its traceback goes to stderr).
+exception; its traceback goes to stderr). Each command imports the layers
+it runs when it runs, so importing this module loads only `errors`.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from itertools import chain
-from typing import Iterable, Optional, Sequence
 
-from . import combinatorics
-from .errors import BudgetExceededError, DomainError
-from .facets import (
-    DEFAULT_MAX_EXPRESSIONS,
-    check_every_codimension,
-    enumerate_facets,
-    facet_to_surjection,
-)
-from .lattice import DEFAULT_MAX_POINTS, cube_points, point_multiplicity
-from .verifier import ROUTES, SkippedCell, sweep
+from .errors import (
+    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, ROUTES, BudgetExceededError, DomainError)
 
 SCHEMA_VERSION = "1"
 MAX_POINTS_ENV = "FIGULAT_MAX_POINTS"
@@ -90,6 +83,7 @@ def positive_int(text: str) -> int:
 
 
 def cmd_verify(args, out, err) -> int:
+    from .verifier import SkippedCell, sweep
     routes = ROUTES if args.route == "all" else [args.route]
     cells = sweep(args.p, args.n, routes, args.max_expressions, args.max_points)
     any_failed = any_skipped = False
@@ -115,6 +109,7 @@ def cmd_verify(args, out, err) -> int:
 
 
 def cmd_table(args, out, err) -> int:
+    from . import combinatorics
     needed = {"stirling": ("m",), "facet-counts": ("p",), "figurate": ("k", "n")}
     for flag in needed[args.kind]:
         if getattr(args, flag) is None:
@@ -139,10 +134,13 @@ def cmd_table(args, out, err) -> int:
 
 
 def cmd_facets(args, out, err) -> int:
+    from .facets import enumerate_facets, facet_to_surjection
     faces = enumerate_facets(args.p, args.l, args.max_expressions)
     # Every codimension-l face has p - l blocks, so one count serves them all.
-    counts = {} if args.with_counts is None else {
-        "points": combinatorics.figurate(args.p - args.l, args.with_counts)}
+    counts = {}
+    if args.with_counts is not None:
+        from .combinatorics import figurate
+        counts = {"points": figurate(args.p - args.l, args.with_counts)}
 
     def records():
         for face in faces:
@@ -161,8 +159,10 @@ def _audit_pairings(args):
     of each p up to the larger of their bounds, at the default cap; each
     codimension's expressions grow with p, so checking that p once refuses
     before the first pairing."""
+    from . import combinatorics, oracles
+    from .facets import check_every_codimension, enumerate_facets
+    from .lattice import cube_points, point_multiplicity
     check_every_codimension(max(args.p_max, args.cover_p_max), DEFAULT_MAX_EXPRESSIONS)
-    from . import oracles
     for m in range(0, args.m_max + 1):
         for j in range(1, max(m, 1) + 1):
             yield (
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None, out=None, err=None) -> int:
+def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     if not hasattr(sys, "set_int_max_str_digits"):
         return _main(argv, out, err)
     # Print exact results of any length; Python builds that have this

@@ -1,4 +1,13 @@
-"""Exceptions shared across the package, and its one argument check."""
+"""Exceptions shared across the package, its one argument check, and the
+default caps and route names, which the CLI's parser and the routes'
+signatures need before any layer is loaded."""
+
+# Default budgets: every face enumeration with p <= 9 fits the expression
+# cap (9! * 2^8 raw expressions), and a cube scan or one face's point
+# enumeration stops at the point cap.
+DEFAULT_MAX_EXPRESSIONS = 362_880 * 2 ** 8
+DEFAULT_MAX_POINTS = 10 ** 7
+ROUTES = ("algebraic", "geometric", "pointwise")
 
 # Below this, an int prints in decimal: Python's default limit on int-to-text
 # conversion is 4,300 digits, and printing is quadratic in the digits.

@@ -22,10 +22,8 @@ from collections import namedtuple
 from itertools import chain, combinations
 from math import comb, factorial
 
-from .errors import BudgetExceededError, DomainError, check_integers
+from .errors import DEFAULT_MAX_EXPRESSIONS, BudgetExceededError, DomainError, check_integers
 
-# Default budget: every call with p <= 9 fits (9! * 2^8 raw expressions).
-DEFAULT_MAX_EXPRESSIONS = factorial(9) * 2 ** 8
 _EXPRESSION_CAP = "expression cap must be an integer >= 1, got {!r}"
 
 

@@ -21,11 +21,10 @@ from itertools import accumulate, combinations, combinations_with_replacement, c
 from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceededError, DomainError, check_integers
-from .facets import DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, check_every_codimension
+from .errors import (
+    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, BudgetExceededError, DomainError, check_integers)
+from .facets import OrderedSetPartition, check_every_codimension
 
-# Full-cube scans and per-face enumerations stop at this many points.
-DEFAULT_MAX_POINTS = 10 ** 7
 _POINT_CAP = "point cap must be an integer >= 1, got {!r}"
 
 

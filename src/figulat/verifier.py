@@ -4,7 +4,8 @@ n^p = sum_{l=0}^{p-1} (-1)^l c_{p,l} F^{p-l}_n, plus grid sweeps.
 The algebraic route uses closed forms only. The geometric route enumerates
 every face and counts its lattice points one by one. The pointwise route
 checks that every cube point is covered with signed multiplicity 1.
-Reports, their terms and skipped cells are named tuples.
+Reports, their terms and skipped cells are named tuples. Each route
+imports the layers it runs when it runs, so a sweep loads only its own.
 """
 from __future__ import annotations
 
@@ -14,12 +15,9 @@ from itertools import chain, count, repeat, zip_longest
 from operator import mul, neg
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .combinatorics import facet_counts, figurates
-from .errors import BudgetExceededError, DomainError, check_integers
-from .facets import DEFAULT_MAX_EXPRESSIONS, check_every_codimension, enumerate_facets
-from .lattice import DEFAULT_MAX_POINTS, cube_points, enumerate_points, point_multiplicity
-
-ROUTES = ("algebraic", "geometric", "pointwise")
+from .errors import (
+    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, ROUTES, BudgetExceededError, DomainError,
+    check_integers)
 
 
 class LTerm(NamedTuple):
@@ -69,6 +67,7 @@ def verify_algebraic(p: int, n: int) -> VerificationReport:
     """Evaluate both sides in closed form. Each cell reads one face-count
     row and one figurate column, both indexed by codimension l, and sums
     their signed products with no Python call per term."""
+    from .combinatorics import facet_counts, figurates
     _validate(p, n)
     counts, points = facet_counts(p), figurates(p, n)
     signed = list(map(mul, counts, points))
@@ -91,6 +90,8 @@ def verify_geometric(
     right-hand side. Every codimension's budget is checked before the
     first face is built; `max_points` caps one face's enumeration, not the
     cell's total."""
+    from .facets import check_every_codimension, enumerate_facets
+    from .lattice import enumerate_points
     _validate(p, n)
     check_every_codimension(p, max_expressions)
     terms = []
@@ -125,6 +126,7 @@ def verify_pointwise(
     """Check that every cube point has signed cover multiplicity 1. The
     cube's budget is checked first; the face index of the first point then
     checks every codimension's before it builds any face."""
+    from .lattice import cube_points, point_multiplicity
     _validate(p, n)
     points = cube_points(p, n, max_points)
     rhs = 0

@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from figulat import cli, combinatorics, oracles, verifier
+from figulat import cli, combinatorics, facets, lattice, oracles, verifier
 from figulat.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -231,8 +231,8 @@ class TestVerifyCommand:
             assert (code, out) == (2, "")
 
     def test_failing_cell_exits_1_even_when_another_is_skipped(self, monkeypatch):
-        real = verifier.figurates
-        monkeypatch.setattr(verifier, "figurates", lambda p, n: [v + 1 for v in real(p, n)])
+        real = combinatorics.figurates
+        monkeypatch.setattr(combinatorics, "figurates", lambda p, n: [v + 1 for v in real(p, n)])
         code, out, err = run(["verify", "--p", "2", "--n", "2", "--route", "algebraic",
                               "--format", "json-lines"])
         record = json.loads(out)
@@ -342,7 +342,7 @@ def test_budget_flags_need_positive_integers(argv, value):
 def test_bad_with_counts_is_rejected_before_any_face_is_built(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate_facets was called")
-    monkeypatch.setattr(cli, "enumerate_facets", refuse)
+    monkeypatch.setattr(facets, "enumerate_facets", refuse)
     code, out, _ = run(["facets", "--p", "8", "--l", "3", "--with-counts", "0"])
     assert code == 2 and out == ""
 
@@ -630,7 +630,7 @@ class TestAuditCommand:
         # At p=10, l=0 and l=1 fit the default cap and l=2 does not.
         def refuse(*args):
             raise AssertionError(f"{builder} was called")
-        monkeypatch.setattr(cli, builder, refuse)
+        monkeypatch.setattr(facets if builder == "enumerate_facets" else lattice, builder, refuse)
         argv = ["audit"]
         for flag in ("--m-max", "--k-max", "--n-max", "--p-max", "--cover-p-max",
                      "--cover-n-max"):

@@ -1,5 +1,6 @@
-"""The package root exports nothing, importing a module loads only the
-modules it needs, only the algebraic route and the CLI reach the closed
+"""The package root exports nothing, importing a module and running a
+command each load only the modules they need, only the algebraic route
+and the CLI reach the closed
 forms (and neither computes one of its own), and the oracles reach nothing
 of the package but its errors. Every function outside the oracles is run
 by a README command, and one function holds the bool-and-integer check."""
@@ -20,9 +21,10 @@ from figulat.cli import main
 from figulat.verifier import verify_algebraic
 
 
-def modules_loaded_by(statement):
-    """The modules that `statement` adds to a bare interpreter, so that
-    modules the environment's `site` preloads do not count."""
+def modules_loaded_by(statement, *flags):
+    """The modules that `statement` adds to a bare interpreter started with
+    `flags`, so that modules the environment's `site` preloads do not
+    count."""
     src = str(Path(figulat.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -31,7 +33,7 @@ def modules_loaded_by(statement):
         "print(*sorted(set(sys.modules) - bare))"
     )
     return set(subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        [sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     ).stdout.split())
 
@@ -55,7 +57,51 @@ def test_combinatorics_import_loads_no_face_or_route_modules():
 def test_cli_import_loads_no_command_specific_modules():
     added = modules_loaded_by("import figulat.cli")
     assert "figulat.cli" in added
-    assert added & {"dataclasses", "inspect", "json", "csv", "figulat.oracles"} == set()
+    assert added & {"dataclasses", "inspect", "json", "csv", "figulat.oracles",
+                    "figulat.combinatorics", "figulat.facets", "figulat.lattice",
+                    "figulat.verifier"} == set()
+
+
+def test_cli_import_loads_no_typing():
+    """`site` may preload `typing` (through a `.pth` file), so this probe
+    runs without it."""
+    added = modules_loaded_by("import figulat.cli", "-S")
+    assert "figulat.cli" in added
+    assert "typing" not in added
+
+
+def modules_run_by(command):
+    """The package modules that `figulat <command>` loads, run through
+    `figulat.cli.main` in a fresh interpreter; the command must exit 0."""
+    added = modules_loaded_by(
+        "import io, figulat.cli; assert figulat.cli.main("
+        f"{command.split()!r}, out=io.StringIO(), err=io.StringIO()) == 0")
+    return {name.removeprefix("figulat.") for name in added if name.startswith("figulat.")}
+
+
+BASE = {"cli", "errors"}
+SMALL_AUDIT = "audit --m-max 2 --k-max 2 --n-max 2 --p-max 2 --cover-p-max 2 --cover-n-max 2"
+
+
+# Each command, small, by the package modules it must load and no others.
+LOADED = {
+    "table --kind stirling --m 0..3": BASE | {"combinatorics"},
+    "table --kind facet-counts --p 1..3": BASE | {"combinatorics"},
+    "table --kind figurate --k 1..2 --n 1..2": BASE | {"combinatorics"},
+    "facets --p 3 --l 1 --with-surjections": BASE | {"facets"},
+    "facets --p 3 --l 1 --with-counts 2": BASE | {"facets", "combinatorics"},
+    "verify --p 1..3 --n 1..2 --route algebraic": BASE | {"verifier", "combinatorics"},
+    "verify --p 1..3 --n 1..2 --route geometric": BASE | {"verifier", "facets", "lattice"},
+    "verify --p 1..3 --n 1..2 --route pointwise": BASE | {"verifier", "facets", "lattice"},
+    # The audit pairs every layer's closed forms and enumerations with the
+    # oracles; it runs no route, so it leaves `verifier` unloaded.
+    SMALL_AUDIT: BASE | {"combinatorics", "facets", "lattice", "oracles"},
+}
+
+
+@pytest.mark.parametrize("command", LOADED)
+def test_each_command_loads_only_the_modules_it_runs(command):
+    assert modules_run_by(command) == LOADED[command]
 
 
 @pytest.mark.parametrize("module", ["figulat.lattice", "figulat.oracles"])

@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from figulat import verifier
+from figulat import facets, lattice, verifier
 from figulat.combinatorics import stirling2_inclusion_exclusion
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.facets import OrderedSetPartition
@@ -104,14 +104,14 @@ class TestGeometricRoute:
         # p=5 needs 120, 480 and 720 expressions for l = 0, 1, 2.
         def refuse(*args):
             raise AssertionError("enumerate_facets was called")
-        monkeypatch.setattr(verifier, "enumerate_facets", refuse)
+        monkeypatch.setattr(facets, "enumerate_facets", refuse)
         with pytest.raises(BudgetExceededError, match=r"\(p=5, l=2\).*needs 720, budget is 500"):
             verify_geometric(5, 1, max_expressions=500)
 
     def test_each_codimension_is_built_with_no_earlier_face_alive(
         self, monkeypatch, live_objects
     ):
-        real = verifier.enumerate_facets
+        real = facets.enumerate_facets
         before = len(live_objects(OrderedSetPartition))
         alive = []
 
@@ -119,7 +119,7 @@ class TestGeometricRoute:
             alive.append(len(live_objects(OrderedSetPartition)) - before)
             return real(p, l, max_expressions)
 
-        monkeypatch.setattr(verifier, "enumerate_facets", spy)
+        monkeypatch.setattr(facets, "enumerate_facets", spy)
         assert verify_geometric(6, 2).ok is True
         assert alive == [0] * 6
 
@@ -156,7 +156,7 @@ class TestPointwiseRoute:
             verify_pointwise(3, 3, max_points=8, max_expressions=1)
 
     def test_first_failure_is_the_plain_coordinate_tuple(self, monkeypatch):
-        monkeypatch.setattr(verifier, "point_multiplicity",
+        monkeypatch.setattr(lattice, "point_multiplicity",
                             lambda point, *, max_expressions: 0 if point[0] else 1)
         report = verify_pointwise(2, 3)
         assert report.ok is False and report.rhs == 3
