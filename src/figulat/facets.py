@@ -11,10 +11,11 @@ p! * C(p-1, l) of them; collapsing them all is
 `oracles.oracle_collapsed_faces`, the brute-force reference. The expression
 cap bounds that same count, and is checked before any face is built.
 
-Faces are immutable named tuples, each equal only to its own type. A direct
-call checks its arguments, integer entries included, and stores each
-sequence as a tuple; the package's generators build with `tuple.__new__`,
-which skips the checks.
+Faces are immutable named tuples that compare and hash like their bare
+tuples, as the verifier's reports do. A direct call checks its arguments,
+integer entries included, and stores each sequence as a tuple; `_replace`
+checks through the same call. The package's generators build with
+`tuple.__new__`, which skips the checks.
 """
 from __future__ import annotations
 
@@ -27,32 +28,7 @@ from .errors import DEFAULT_MAX_EXPRESSIONS, BudgetExceededError, DomainError, c
 _EXPRESSION_CAP = "expression cap must be an integer >= 1, got {!r}"
 
 
-class _Value:
-    """Mixin for the named-tuple value type `OrderedSetPartition`: an
-    object equals only an object of its own type, never a bare tuple of
-    the same fields.
-
-    Two limits remain. A tuple subclass of another type on the left, such
-    as a lookalike named tuple, runs its own tuple comparison first, so
-    `lookalike == value` is True. And `<`, `<=`, `>` and `>=` still compare
-    as tuples, across types."""
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through the validating constructor, so `_replace` checks."""
-        return cls(*iterable)
-
-
-class OrderedSetPartition(_Value, namedtuple("OrderedSetPartition", "blocks")):
+class OrderedSetPartition(namedtuple("OrderedSetPartition", "blocks")):
     __slots__ = ()
 
     def __new__(cls, blocks: tuple[tuple[int, ...], ...]):
@@ -72,6 +48,11 @@ class OrderedSetPartition(_Value, namedtuple("OrderedSetPartition", "blocks")):
         if seen != set(range(1, len(seen) + 1)):
             raise DomainError(f"blocks must cover 1..p exactly, got {sorted(seen)}")
         return tuple.__new__(cls, (blocks,))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through the validating constructor, so `_replace` checks."""
+        return cls(*iterable)
 
     @property
     def ground_size(self) -> int:

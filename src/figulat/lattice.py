@@ -16,10 +16,10 @@ point a caller gives it.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, combinations_with_replacement, compress, product
 from operator import itemgetter, or_
-from typing import Iterator, Sequence
 
 from .errors import (
     DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, BudgetExceededError, DomainError, check_integers)

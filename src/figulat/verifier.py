@@ -4,48 +4,34 @@ n^p = sum_{l=0}^{p-1} (-1)^l c_{p,l} F^{p-l}_n, plus grid sweeps.
 The algebraic route uses closed forms only. The geometric route enumerates
 every face and counts its lattice points one by one. The pointwise route
 checks that every cube point is covered with signed multiplicity 1.
-Reports, their terms and skipped cells are named tuples. Each route
-imports the layers it runs when it runs, so a sweep loads only its own.
+Reports, their terms and skipped cells are plain named tuples, each equal
+to its bare tuple. Each route imports the layers it runs when it runs, so
+a sweep loads only its own.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain, count, repeat, zip_longest
 from operator import mul, neg
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, ROUTES, BudgetExceededError, DomainError,
     check_integers)
 
 
-class LTerm(NamedTuple):
-    """One codimension's contribution to the alternating sum."""
-    l: int
-    facet_count: int
-    per_facet_points: int
-    signed_term: int
+LTerm = namedtuple("LTerm", "l facet_count per_facet_points signed_term")
+LTerm.__doc__ = "One codimension's contribution to the alternating sum."
 
+VerificationReport = namedtuple(
+    "VerificationReport",
+    "p n lhs route rhs per_l_terms ok points_enumerated first_failure",
+    defaults=(0, None),
+)
 
-class VerificationReport(NamedTuple):
-    p: int
-    n: int
-    lhs: int
-    route: str
-    rhs: int
-    per_l_terms: tuple[LTerm, ...]
-    ok: bool
-    points_enumerated: int = 0
-    first_failure: Optional[tuple[int, ...]] = None
-
-
-class SkippedCell(NamedTuple):
-    """A sweep cell that could not run within its resource budget."""
-    p: int
-    n: int
-    route: str
-    reason: str
+SkippedCell = namedtuple("SkippedCell", "p n route reason")
+SkippedCell.__doc__ = "A sweep cell that could not run within its resource budget."
 
 
 def _validate(p: int, n: int) -> None:
@@ -130,7 +116,7 @@ def verify_pointwise(
     _validate(p, n)
     points = cube_points(p, n, max_points)
     rhs = 0
-    first_failure: Optional[tuple[int, ...]] = None
+    first_failure: tuple[int, ...] | None = None
     points_enumerated = 0
     for point in points:
         points_enumerated += 1
@@ -145,16 +131,13 @@ def verify_pointwise(
     )
 
 
-SweepCell = Union[VerificationReport, SkippedCell]
-
-
 def sweep(
     ps: Iterable[int],
     ns: Iterable[int],
     routes: Iterable[str] = ROUTES,
     max_expressions: int = DEFAULT_MAX_EXPRESSIONS,
     max_points: int = DEFAULT_MAX_POINTS,
-) -> Iterator[SweepCell]:
+) -> Iterator[VerificationReport | SkippedCell]:
     """One cell per (p, n, route), ordered by p, then n, then route, yielded
     as each finishes. Budget failures become SkippedCell entries; the sweep
     never aborts. Unknown routes and values a route rejects raise at call time."""
@@ -178,7 +161,7 @@ def sweep(
         _validate(p, n)
     ordered_routes = [r for r in ROUTES if r in routes]
 
-    def generate() -> Iterator[SweepCell]:
+    def generate() -> Iterator[VerificationReport | SkippedCell]:
         for p in ps:
             for n in ns:
                 for route in ordered_routes:

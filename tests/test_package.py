@@ -1,6 +1,6 @@
 """The package root exports nothing, importing a module and running a
-command each load only the modules they need, only the algebraic route
-and the CLI reach the closed
+command each load only the modules they need (and never `typing`), only
+the algebraic route and the CLI reach the closed
 forms (and neither computes one of its own), and the oracles reach nothing
 of the package but its errors. Every function outside the oracles is run
 by a README command, and one function holds the bool-and-integer check."""
@@ -62,21 +62,13 @@ def test_cli_import_loads_no_command_specific_modules():
                     "figulat.verifier"} == set()
 
 
-def test_cli_import_loads_no_typing():
-    """`site` may preload `typing` (through a `.pth` file), so this probe
-    runs without it."""
-    added = modules_loaded_by("import figulat.cli", "-S")
-    assert "figulat.cli" in added
-    assert "typing" not in added
-
-
-def modules_run_by(command):
-    """The package modules that `figulat <command>` loads, run through
-    `figulat.cli.main` in a fresh interpreter; the command must exit 0."""
-    added = modules_loaded_by(
+def modules_run_by(command, *flags):
+    """The modules that `figulat <command>` loads, run through
+    `figulat.cli.main` in a fresh interpreter started with `flags`; the
+    command must exit 0."""
+    return modules_loaded_by(
         "import io, figulat.cli; assert figulat.cli.main("
-        f"{command.split()!r}, out=io.StringIO(), err=io.StringIO()) == 0")
-    return {name.removeprefix("figulat.") for name in added if name.startswith("figulat.")}
+        f"{command.split()!r}, out=io.StringIO(), err=io.StringIO()) == 0", *flags)
 
 
 BASE = {"cli", "errors"}
@@ -101,7 +93,21 @@ LOADED = {
 
 @pytest.mark.parametrize("command", LOADED)
 def test_each_command_loads_only_the_modules_it_runs(command):
-    assert modules_run_by(command) == LOADED[command]
+    loaded = {name.removeprefix("figulat.") for name in modules_run_by(command)
+              if name.startswith("figulat.")}
+    assert loaded == LOADED[command]
+
+
+@pytest.mark.parametrize("command", [pytest.param(None, id="import figulat.cli"), *LOADED])
+def test_cli_import_and_each_command_load_no_typing(command):
+    """`site` may preload `typing` (through a `.pth` file), so this probe
+    runs without it."""
+    if command is None:
+        added = modules_loaded_by("import figulat.cli", "-S")
+    else:
+        added = modules_run_by(command, "-S")
+    assert "figulat.cli" in added
+    assert "typing" not in added
 
 
 @pytest.mark.parametrize("module", ["figulat.lattice", "figulat.oracles"])
