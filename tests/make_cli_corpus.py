@@ -6,17 +6,21 @@ Usage, from the root of the repository:
 
 Each case is one argv run through `figulat.cli.main` in process, stored
 with its exit code, stdout and stderr. The cases are every `table` kind,
-`facets` alone and with each flag, `verify` on p <= 5 and n <= 3 by each
-route, every README `## CLI` example but `audit` (the default `audit` is
-pinned by `TestAuditCommand`, so the corpus does not run it twice), and
-one refusal of each kind, each in all three formats; then the parser's
-own text, once each: `--help` for the program and for each command, and
-one usage error per command. argparse writes that text to `sys.stdout`
-and `sys.stderr`, not to `out` and `err`, and wraps it at `$COLUMNS`, so
+`facets` alone and with each flag, `verify` by each route (p <= 5 for
+the closed forms and the faces, p <= 6 for the pointwise cover, n <= 3),
+a grid of every route with four cells over the point cap, every README
+`## CLI` example but `audit` (the default `audit` is pinned by
+`TestAuditCommand`, so the corpus does not run it twice), and one
+refusal of each kind, each in all three formats; then the parser's own
+text, once each: `--help` for the program and for each command, and one
+usage error per command. argparse writes that text to `sys.stdout` and
+`sys.stderr`, not to `out` and `err`, and wraps it at `$COLUMNS`, so
 each case runs with both streams captured and `COLUMNS=80`.
 `tests/test_cli.py` replays them the same way and compares the bytes.
-pytest does not collect this file; rerun it only when a change to the
-output is meant, and name the change.
+The corpus is the suite's one byte-level pin of the CLI. pytest does not
+collect this file; rerun it only when a change to the output is meant.
+It prints the argv of every case it adds, drops or changes: name each
+of them, and why, when the change is committed.
 """
 import io
 import json
@@ -42,7 +46,8 @@ LISTINGS = [
     "facets --p 3 --l 1 --with-counts 2",
     "verify --p 1..5 --n 1..3 --route algebraic",
     "verify --p 1..5 --n 1..3 --route geometric",
-    "verify --p 1..5 --n 1..3 --route pointwise",
+    "verify --p 1..6 --n 1..3 --route pointwise",
+    "verify --p 1..3 --n 1..3 --route all --max-points 8",  # exit 3: four cells skipped
 ]
 REFUSALS = [
     "verify --p 12 --n 1",  # exit 3 after the algebraic record: no face fits the cap
@@ -94,7 +99,18 @@ def run(argv):
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def changes(old, new):
+    """A line for each case dropped from `old`, then for each added to or
+    changed in `new`, naming the case by its argv."""
+    old, new = ({shlex.join(case["argv"]): case for case in corpus} for corpus in (old, new))
+    return ([f"dropped {argv}" for argv in old if argv not in new]
+            + [f"{'changed' if argv in old else 'added'} {argv}"
+               for argv, case in new.items() if old.get(argv) != case])
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
-    CORPUS.write_text(json.dumps([run(argv) for argv in cases()], indent=1) + "\n")
-    print(f"wrote {CORPUS.relative_to(ROOT)}")
+    old = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
+    new = [run(argv) for argv in cases()]
+    CORPUS.write_text(json.dumps(new, indent=1) + "\n")
+    print(f"wrote {CORPUS.relative_to(ROOT)}: {len(new)} cases", *changes(old, new), sep="\n")
