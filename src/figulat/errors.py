@@ -1,6 +1,6 @@
 """Exceptions shared across the package, its one argument check, and the
-default caps and route names, which the CLI's parser and the routes'
-signatures need before any layer is loaded."""
+default caps, their refusals and the route names, which the CLI's parser
+and the routes' signatures need before any layer is loaded."""
 
 # Default budgets: every face enumeration with p <= 9 fits the expression
 # cap (9! * 2^8 raw expressions), and a cube scan or one face's point
@@ -8,6 +8,8 @@ signatures need before any layer is loaded."""
 DEFAULT_MAX_EXPRESSIONS = 362_880 * 2 ** 8
 DEFAULT_MAX_POINTS = 10 ** 7
 ROUTES = ("algebraic", "geometric", "pointwise")
+EXPRESSION_CAP = "expression cap must be an integer >= 1, got {!r}"
+POINT_CAP = "point cap must be an integer >= 1, got {!r}"
 
 # Below this, an int prints in decimal: Python's default limit on int-to-text
 # conversion is 4,300 digits, and printing is quadratic in the digits.

@@ -23,9 +23,8 @@ from collections import namedtuple
 from itertools import chain, combinations
 from math import comb, factorial
 
-from .errors import DEFAULT_MAX_EXPRESSIONS, BudgetExceededError, DomainError, check_integers
-
-_EXPRESSION_CAP = "expression cap must be an integer >= 1, got {!r}"
+from .errors import (
+    DEFAULT_MAX_EXPRESSIONS, EXPRESSION_CAP, BudgetExceededError, DomainError, check_integers)
 
 
 class OrderedSetPartition(namedtuple("OrderedSetPartition", "blocks")):
@@ -75,9 +74,9 @@ def _check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
     check_integers("codimension must be an integer, got {!r}", l)
     if l < 0 or l >= p:
         raise DomainError(f"codimension must satisfy 0 <= l <= p-1, got l={l} for p={p}")
-    check_integers(_EXPRESSION_CAP, max_expressions)
+    check_integers(EXPRESSION_CAP, max_expressions)
     if max_expressions < 1:
-        raise DomainError(_EXPRESSION_CAP.format(max_expressions))
+        raise DomainError(EXPRESSION_CAP.format(max_expressions))
     required = factorial(p) * comb(p - 1, l)
     if required > max_expressions:
         raise BudgetExceededError(

@@ -22,10 +22,9 @@ from itertools import accumulate, combinations, combinations_with_replacement, c
 from operator import itemgetter, or_
 
 from .errors import (
-    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, BudgetExceededError, DomainError, check_integers)
+    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, POINT_CAP, BudgetExceededError, DomainError,
+    check_integers)
 from .facets import OrderedSetPartition, check_every_codimension
-
-_POINT_CAP = "point cap must be an integer >= 1, got {!r}"
 
 
 def enumerate_points(
@@ -37,9 +36,9 @@ def enumerate_points(
     check_integers("side must be an integer, got {!r}", n)
     if n < 1:
         raise DomainError(f"side must be >= 1, got {n}")
-    check_integers(_POINT_CAP, max_points)
+    check_integers(POINT_CAP, max_points)
     if max_points < 1:
-        raise DomainError(_POINT_CAP.format(max_points))
+        raise DomainError(POINT_CAP.format(max_points))
     blocks = facet.blocks
     k = len(blocks)
     if n ** k > max_points:
@@ -69,9 +68,9 @@ def cube_points(
     check_integers("side must be an integer, got {!r}", n)
     if n < 1:
         raise DomainError(f"side must be >= 1, got {n}")
-    check_integers(_POINT_CAP, max_points)
+    check_integers(POINT_CAP, max_points)
     if max_points < 1:
-        raise DomainError(_POINT_CAP.format(max_points))
+        raise DomainError(POINT_CAP.format(max_points))
     if n ** p > max_points:
         raise BudgetExceededError(
             f"cube scan for (p={p}, n={n}) exceeds the point cap", n ** p, max_points

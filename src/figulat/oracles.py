@@ -30,6 +30,8 @@ def oracle_surjections(m: int, k: int, max_maps: int = DEFAULT_MAX_MAPS) -> list
         raise DomainError(f"sizes must be integers, got (m={m!r}, k={k!r})")
     if m < 1 or k < 1:
         raise DomainError(f"sizes must be >= 1, got (m={m}, k={k})")
+    if isinstance(max_maps, bool) or not isinstance(max_maps, int) or max_maps < 1:
+        raise DomainError(f"map cap must be an integer >= 1, got {max_maps!r}")
     if k ** m > max_maps:
         raise BudgetExceededError(
             f"surjection scan for (m={m}, k={k}) exceeds the map cap", k ** m, max_maps
@@ -72,6 +74,8 @@ def oracle_weakly_decreasing_tuples(k: int, n: int, max_points: int = DEFAULT_MA
         raise DomainError(f"arguments must be integers, got (k={k!r}, n={n!r})")
     if k < 1 or n < 1:
         raise DomainError(f"arguments must be >= 1, got (k={k}, n={n})")
+    if isinstance(max_points, bool) or not isinstance(max_points, int) or max_points < 1:
+        raise DomainError(f"point cap must be an integer >= 1, got {max_points!r}")
     if n ** k > max_points:
         raise BudgetExceededError(
             f"tuple scan for (k={k}, n={n}) exceeds the point cap", n ** k, max_points

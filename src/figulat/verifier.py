@@ -17,8 +17,8 @@ from itertools import chain, count, repeat, zip_longest
 from operator import mul, neg
 
 from .errors import (
-    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, ROUTES, BudgetExceededError, DomainError,
-    check_integers)
+    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, EXPRESSION_CAP, POINT_CAP, ROUTES,
+    BudgetExceededError, DomainError, check_integers)
 
 
 LTerm = namedtuple("LTerm", "l facet_count per_facet_points signed_term")
@@ -140,7 +140,8 @@ def sweep(
 ) -> Iterator[VerificationReport | SkippedCell]:
     """One cell per (p, n, route), ordered by p, then n, then route, yielded
     as each finishes. Budget failures become SkippedCell entries; the sweep
-    never aborts. Unknown routes and values a route rejects raise at call time."""
+    never aborts. Unknown routes, bad caps and values a route rejects raise
+    at call time, whatever the routes."""
     # An iterator is read once, into a tuple, so the checks do not drain it;
     # a range stays lazy, so a long n range costs no memory.
     ps, ns = (v if isinstance(v, Sequence) else tuple(v) for v in (ps, ns))
@@ -156,6 +157,10 @@ def sweep(
     for route in routes:
         if route not in run:
             raise DomainError(f"unknown route {route!r}; expected one of {ROUTES}")
+    for template, cap in ((EXPRESSION_CAP, max_expressions), (POINT_CAP, max_points)):
+        check_integers(template, cap)
+        if cap < 1:
+            raise DomainError(template.format(cap))
     # Checks every p and every n, even when the other sequence is empty.
     for p, n in zip_longest(ps, ns, fillvalue=1):
         _validate(p, n)

@@ -16,11 +16,12 @@ text, once each: `--help` for the program and for each command, and one
 usage error per command. argparse writes that text to `sys.stdout` and
 `sys.stderr`, not to `out` and `err`, and wraps it at `$COLUMNS`, so
 each case runs with both streams captured and `COLUMNS=80`.
-`tests/test_cli.py` replays them the same way and compares the bytes.
-The corpus is the suite's one byte-level pin of the CLI. pytest does not
-collect this file; rerun it only when a change to the output is meant.
-It prints the argv of every case it adds, drops or changes: name each
-of them, and why, when the change is committed.
+`tests/test_cli.py` imports `run` and `readme_cli_examples` from here,
+replays every case and compares the bytes. The corpus is the suite's one
+byte-level pin of the CLI. pytest does not collect this file; rerun it
+only when a change to the output is meant. It prints the argv of every
+case it adds, drops or changes: name each of them, and why, when the
+change is committed.
 """
 import io
 import json
@@ -29,6 +30,7 @@ import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -69,11 +71,11 @@ PARSER = [
 
 
 def readme_cli_examples():
-    """The `figulat ...` lines of the fenced block under README's `## CLI`."""
+    """The commands of the `figulat ...` lines in the fenced block under
+    README's `## CLI`."""
     section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
     block = section.split("```\n", 2)[1]
-    return [line.split(" ", 1)[1] for line in block.splitlines()
-            if line.startswith("figulat ") and not line.startswith("figulat audit")]
+    return [line.split(" ", 1)[1] for line in block.splitlines() if line.startswith("figulat ")]
 
 
 def in_format(command, fmt):
@@ -88,15 +90,18 @@ def in_format(command, fmt):
 
 def cases():
     return [in_format(command, fmt)
-            for command in LISTINGS + readme_cli_examples() + REFUSALS
+            for command in LISTINGS + [command for command in readme_cli_examples()
+                                       if not command.startswith("audit")] + REFUSALS
             for fmt in FORMATS] + [shlex.split(command) for command in PARSER]
 
 
 def run(argv):
+    """Exit code, stdout and stderr of `main(argv)`, with `sys.stdout` and
+    `sys.stderr` captured too and `COLUMNS=80`."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
         code = main(argv, out=out, err=err)
-    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return code, out.getvalue(), err.getvalue()
 
 
 def changes(old, new):
@@ -109,8 +114,8 @@ def changes(old, new):
 
 
 if __name__ == "__main__":
-    os.environ["COLUMNS"] = "80"
     old = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
-    new = [run(argv) for argv in cases()]
+    new = [dict(zip(("argv", "code", "stdout", "stderr"), (argv, *run(argv))))
+           for argv in cases()]
     CORPUS.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {CORPUS.relative_to(ROOT)}: {len(new)} cases", *changes(old, new), sep="\n")

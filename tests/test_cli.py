@@ -7,191 +7,16 @@ import shlex
 import sys
 import tracemalloc
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
-from unittest import mock
 
 import pytest
 
 from figulat import cli, combinatorics, facets, lattice, oracles, verifier
 from figulat.cli import main
+from make_cli_corpus import CORPUS, readme_cli_examples, run
 
-README = Path(__file__).resolve().parent.parent / "README.md"
 # Argv, exit code, stdout and stderr of the listings, written by
 # `tests/make_cli_corpus.py`.
-CORPUS = json.loads((Path(__file__).resolve().parent / "cli_corpus.json").read_text())
-
-
-def run(argv, env=None, monkeypatch=None):
-    """Exit code, stdout and stderr of `main(argv)`. argparse writes help
-    and usage errors to `sys.stdout` and `sys.stderr`, wrapped at
-    `$COLUMNS`, so those streams are captured too, at the corpus's 80."""
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
-        code = main(argv, out=out, err=err)
-    return code, out.getvalue(), err.getvalue()
-
-
-# `verify --p 1..3 --n 1..3 --route all --max-points 8`, captured before
-# `figulat verify` was moved onto `verifier.sweep`: four cells exceed the
-# budget, their skip lines go to stderr in grid order, and the exit is 3.
-GOLDEN_ARGV = ["verify", "--p", "1..3", "--n", "1..3", "--route", "all",
-               "--max-points", "8"]
-GOLDEN_STDERR = (
-    "skipped p=2 n=3 route=geometric: point enumeration for a 2-block face at side 3 exceeds the point cap: needs 9, budget is 8\n"
-    "skipped p=2 n=3 route=pointwise: cube scan for (p=2, n=3) exceeds the point cap: needs 9, budget is 8\n"
-    "skipped p=3 n=3 route=geometric: point enumeration for a 3-block face at side 3 exceeds the point cap: needs 27, budget is 8\n"
-    "skipped p=3 n=3 route=pointwise: cube scan for (p=3, n=3) exceeds the point cap: needs 27, budget is 8\n"
-)
-GOLDEN_STDOUT = {
-    "plain-table": """\
-schema  p  n  route      lhs  rhs  ok
-1       1  1  algebraic  1    1    True
-1       1  1  geometric  1    1    True
-1       1  1  pointwise  1    1    True
-1       1  2  algebraic  2    2    True
-1       1  2  geometric  2    2    True
-1       1  2  pointwise  2    2    True
-1       1  3  algebraic  3    3    True
-1       1  3  geometric  3    3    True
-1       1  3  pointwise  3    3    True
-1       2  1  algebraic  1    1    True
-1       2  1  geometric  1    1    True
-1       2  1  pointwise  1    1    True
-1       2  2  algebraic  4    4    True
-1       2  2  geometric  4    4    True
-1       2  2  pointwise  4    4    True
-1       2  3  algebraic  9    9    True
-1       3  1  algebraic  1    1    True
-1       3  1  geometric  1    1    True
-1       3  1  pointwise  1    1    True
-1       3  2  algebraic  8    8    True
-1       3  2  geometric  8    8    True
-1       3  2  pointwise  8    8    True
-1       3  3  algebraic  27   27   True
-""",
-    "csv": """\
-schema,p,n,route,lhs,rhs,ok
-1,1,1,algebraic,1,1,True
-1,1,1,geometric,1,1,True
-1,1,1,pointwise,1,1,True
-1,1,2,algebraic,2,2,True
-1,1,2,geometric,2,2,True
-1,1,2,pointwise,2,2,True
-1,1,3,algebraic,3,3,True
-1,1,3,geometric,3,3,True
-1,1,3,pointwise,3,3,True
-1,2,1,algebraic,1,1,True
-1,2,1,geometric,1,1,True
-1,2,1,pointwise,1,1,True
-1,2,2,algebraic,4,4,True
-1,2,2,geometric,4,4,True
-1,2,2,pointwise,4,4,True
-1,2,3,algebraic,9,9,True
-1,3,1,algebraic,1,1,True
-1,3,1,geometric,1,1,True
-1,3,1,pointwise,1,1,True
-1,3,2,algebraic,8,8,True
-1,3,2,geometric,8,8,True
-1,3,2,pointwise,8,8,True
-1,3,3,algebraic,27,27,True
-""".replace("\n", "\r\n"),
-    "json-lines": """\
-{"schema": "1", "p": 1, "n": 1, "route": "algebraic", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 1, "n": 1, "route": "geometric", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 1, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 1, "n": 2, "route": "algebraic", "lhs": 2, "rhs": 2, "ok": true}
-{"schema": "1", "p": 1, "n": 2, "route": "geometric", "lhs": 2, "rhs": 2, "ok": true}
-{"schema": "1", "p": 1, "n": 2, "route": "pointwise", "lhs": 2, "rhs": 2, "ok": true}
-{"schema": "1", "p": 1, "n": 3, "route": "algebraic", "lhs": 3, "rhs": 3, "ok": true}
-{"schema": "1", "p": 1, "n": 3, "route": "geometric", "lhs": 3, "rhs": 3, "ok": true}
-{"schema": "1", "p": 1, "n": 3, "route": "pointwise", "lhs": 3, "rhs": 3, "ok": true}
-{"schema": "1", "p": 2, "n": 1, "route": "algebraic", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 2, "n": 1, "route": "geometric", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 2, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 2, "n": 2, "route": "algebraic", "lhs": 4, "rhs": 4, "ok": true}
-{"schema": "1", "p": 2, "n": 2, "route": "geometric", "lhs": 4, "rhs": 4, "ok": true}
-{"schema": "1", "p": 2, "n": 2, "route": "pointwise", "lhs": 4, "rhs": 4, "ok": true}
-{"schema": "1", "p": 2, "n": 3, "route": "algebraic", "lhs": 9, "rhs": 9, "ok": true}
-{"schema": "1", "p": 3, "n": 1, "route": "algebraic", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 3, "n": 1, "route": "geometric", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 3, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 3, "n": 2, "route": "algebraic", "lhs": 8, "rhs": 8, "ok": true}
-{"schema": "1", "p": 3, "n": 2, "route": "geometric", "lhs": 8, "rhs": 8, "ok": true}
-{"schema": "1", "p": 3, "n": 2, "route": "pointwise", "lhs": 8, "rhs": 8, "ok": true}
-{"schema": "1", "p": 3, "n": 3, "route": "algebraic", "lhs": 27, "rhs": 27, "ok": true}
-""",
-}
-
-
-# `verify --p 1..6 --n 1..3 --route pointwise`, captured before the
-# pointwise route tested faces as relation bit sets: every cell
-# passes, nothing goes to stderr, and the exit is 0.
-POINTWISE_GOLDEN_ARGV = ["verify", "--p", "1..6", "--n", "1..3", "--route", "pointwise"]
-POINTWISE_GOLDEN_STDOUT = {
-    "plain-table": """\
-schema  p  n  route      lhs  rhs  ok
-1       1  1  pointwise  1    1    True
-1       1  2  pointwise  2    2    True
-1       1  3  pointwise  3    3    True
-1       2  1  pointwise  1    1    True
-1       2  2  pointwise  4    4    True
-1       2  3  pointwise  9    9    True
-1       3  1  pointwise  1    1    True
-1       3  2  pointwise  8    8    True
-1       3  3  pointwise  27   27   True
-1       4  1  pointwise  1    1    True
-1       4  2  pointwise  16   16   True
-1       4  3  pointwise  81   81   True
-1       5  1  pointwise  1    1    True
-1       5  2  pointwise  32   32   True
-1       5  3  pointwise  243  243  True
-1       6  1  pointwise  1    1    True
-1       6  2  pointwise  64   64   True
-1       6  3  pointwise  729  729  True
-""",
-    "csv": """\
-schema,p,n,route,lhs,rhs,ok
-1,1,1,pointwise,1,1,True
-1,1,2,pointwise,2,2,True
-1,1,3,pointwise,3,3,True
-1,2,1,pointwise,1,1,True
-1,2,2,pointwise,4,4,True
-1,2,3,pointwise,9,9,True
-1,3,1,pointwise,1,1,True
-1,3,2,pointwise,8,8,True
-1,3,3,pointwise,27,27,True
-1,4,1,pointwise,1,1,True
-1,4,2,pointwise,16,16,True
-1,4,3,pointwise,81,81,True
-1,5,1,pointwise,1,1,True
-1,5,2,pointwise,32,32,True
-1,5,3,pointwise,243,243,True
-1,6,1,pointwise,1,1,True
-1,6,2,pointwise,64,64,True
-1,6,3,pointwise,729,729,True
-""".replace("\n", "\r\n"),
-    "json-lines": """\
-{"schema": "1", "p": 1, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 1, "n": 2, "route": "pointwise", "lhs": 2, "rhs": 2, "ok": true}
-{"schema": "1", "p": 1, "n": 3, "route": "pointwise", "lhs": 3, "rhs": 3, "ok": true}
-{"schema": "1", "p": 2, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 2, "n": 2, "route": "pointwise", "lhs": 4, "rhs": 4, "ok": true}
-{"schema": "1", "p": 2, "n": 3, "route": "pointwise", "lhs": 9, "rhs": 9, "ok": true}
-{"schema": "1", "p": 3, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 3, "n": 2, "route": "pointwise", "lhs": 8, "rhs": 8, "ok": true}
-{"schema": "1", "p": 3, "n": 3, "route": "pointwise", "lhs": 27, "rhs": 27, "ok": true}
-{"schema": "1", "p": 4, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 4, "n": 2, "route": "pointwise", "lhs": 16, "rhs": 16, "ok": true}
-{"schema": "1", "p": 4, "n": 3, "route": "pointwise", "lhs": 81, "rhs": 81, "ok": true}
-{"schema": "1", "p": 5, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 5, "n": 2, "route": "pointwise", "lhs": 32, "rhs": 32, "ok": true}
-{"schema": "1", "p": 5, "n": 3, "route": "pointwise", "lhs": 243, "rhs": 243, "ok": true}
-{"schema": "1", "p": 6, "n": 1, "route": "pointwise", "lhs": 1, "rhs": 1, "ok": true}
-{"schema": "1", "p": 6, "n": 2, "route": "pointwise", "lhs": 64, "rhs": 64, "ok": true}
-{"schema": "1", "p": 6, "n": 3, "route": "pointwise", "lhs": 729, "rhs": 729, "ok": true}
-""",
-}
+CASES = json.loads(CORPUS.read_text())
 
 
 class TestVerifyCommand:
@@ -215,13 +40,6 @@ class TestVerifyCommand:
         records = [json.loads(line) for line in out.splitlines()]
         assert [r["route"] for r in records] == ["algebraic", "geometric", "pointwise"]
         assert {r["rhs"] for r in records} == {4}
-
-    def test_deterministic_output(self):
-        argv = ["verify", "--p", "1..4", "--n", "1..3",
-                "--route", "all", "--format", "json-lines"]
-        _, first, _ = run(argv)
-        _, second, _ = run(argv)
-        assert first == second
 
     def test_usage_error_on_bad_range(self):
         code, _, _ = run(["verify", "--p", "0..2", "--n", "1..2"])
@@ -302,15 +120,6 @@ class TestVerifyCommand:
             "verify", "--p", "3..3", "--n", "3..3", "--route", "pointwise",
         ])
         assert code == 3 and "skipped" in err
-
-    @pytest.mark.parametrize("fmt", sorted(GOLDEN_STDOUT))
-    def test_golden_grid_with_skips(self, fmt):
-        assert run(GOLDEN_ARGV + ["--format", fmt]) == (3, GOLDEN_STDOUT[fmt], GOLDEN_STDERR)
-
-    @pytest.mark.parametrize("fmt", sorted(POINTWISE_GOLDEN_STDOUT))
-    def test_golden_pointwise_grid(self, fmt):
-        argv = POINTWISE_GOLDEN_ARGV + ["--format", fmt]
-        assert run(argv) == (0, POINTWISE_GOLDEN_STDOUT[fmt], "")
 
     def test_csv_and_json_lines_carry_same_records(self):
         argv = ["verify", "--p", "1..3", "--n", "1..2", "--route", "all"]
@@ -455,22 +264,6 @@ def test_a_streamed_listing_does_not_grow_with_its_length(fmt):
 
 
 class TestTableCommand:
-    def test_facet_counts_row(self):
-        code, out, _ = run([
-            "table", "--kind", "facet-counts", "--p", "4", "--format", "json-lines",
-        ])
-        assert code == 0
-        values = [json.loads(line)["value"] for line in out.splitlines()]
-        assert values == [24, 36, 14, 1]
-
-    def test_stirling_row(self):
-        code, out, _ = run([
-            "table", "--kind", "stirling", "--m", "4", "--format", "json-lines",
-        ])
-        assert code == 0
-        values = [json.loads(line)["value"] for line in out.splitlines()]
-        assert values == [1, 7, 6, 1]
-
     def test_stirling_row_past_the_recursion_limit(self):
         code, out, _ = run([
             "table", "--kind", "stirling", "--m", "600", "--format", "json-lines",
@@ -479,15 +272,6 @@ class TestTableCommand:
         values = [json.loads(line)["value"] for line in out.splitlines()]
         assert values == [
             combinatorics.stirling2_inclusion_exclusion(600, j) for j in range(1, 601)]
-
-    def test_figurate_row(self):
-        code, out, _ = run([
-            "table", "--kind", "figurate", "--k", "2", "--n", "1..4",
-            "--format", "json-lines",
-        ])
-        assert code == 0
-        values = [json.loads(line)["value"] for line in out.splitlines()]
-        assert values == [1, 3, 6, 10]
 
     @pytest.mark.parametrize("argv, flag", [
         (["--kind", "stirling"], "m"),
@@ -528,17 +312,6 @@ class TestFacetsCommand:
         ])
         assert code == 0
         assert len(out.splitlines()) == 6
-
-    def test_with_surjections_and_counts(self):
-        code, out, _ = run([
-            "facets", "--p", "3", "--l", "1", "--with-surjections",
-            "--with-counts", "2", "--format", "json-lines",
-        ])
-        assert code == 0
-        records = [json.loads(line) for line in out.splitlines()]
-        assert len(records) == 6
-        assert all("," in r["surjection"] for r in records)
-        assert {r["points"] for r in records} == {3}
 
     def test_with_counts_computes_one_count_per_listing(self, record_calls):
         codes = []
@@ -647,20 +420,13 @@ class TestAuditCommand:
         assert code == 2 and out == ""
 
 
-def readme_cli_examples():
-    """The `figulat ...` lines of the fenced block under README's `## CLI`."""
-    section = README.read_text().split("\n## CLI\n", 1)[1]
-    block = section.split("```\n", 2)[1]
-    return [shlex.split(line)[1:] for line in block.splitlines()
-            if line.startswith("figulat ")]
-
-
 def test_readme_has_cli_examples():
     assert len(readme_cli_examples()) >= 5
 
 
-@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
-def test_readme_cli_example_runs(argv):
+@pytest.mark.parametrize("command", readme_cli_examples())
+def test_readme_cli_example_runs(command):
+    argv = shlex.split(command)
     if argv[0] == "audit":
         # TestAuditCommand.test_default_flags_pass runs the default audit.
         assert cli.build_parser().parse_args(argv).func is cli.cmd_audit
@@ -670,10 +436,10 @@ def test_readme_cli_example_runs(argv):
     assert out
     # The corpus pins its bytes; plain-table is the default format.
     pinned = argv if "--format" in argv else argv + ["--format", "plain-table"]
-    assert [case["stdout"] for case in CORPUS if case["argv"] == pinned] == [out]
+    assert [case["stdout"] for case in CASES if case["argv"] == pinned] == [out]
 
 
-@pytest.mark.parametrize("case", CORPUS, ids=lambda case: " ".join(case["argv"]))
+@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))
 def test_listing_bytes_match_the_corpus(case):
     assert run(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 

@@ -102,10 +102,16 @@ class TestOracleCollapsedFaces:
         with pytest.raises(DomainError, match="0 <= l < p"):
             oracle_collapsed_faces(p, l)
 
-    @pytest.mark.parametrize("cap", [True, 0, -5, 2.0, "x", None])
-    def test_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
-        with pytest.raises(DomainError, match="^expression cap must be an integer >= 1"):
-            oracle_collapsed_faces(3, 1, max_expressions=cap)
+
+@pytest.mark.parametrize("oracle, args, cap", [
+    (oracle_surjections, (2, 2), "map"),
+    (oracle_weakly_decreasing_tuples, (2, 2), "point"),
+    (oracle_collapsed_faces, (3, 1), "expression"),
+])
+@pytest.mark.parametrize("value", [True, 0, -5, 2.0, "x", None])
+def test_oracles_refuse_a_cap_that_is_not_a_positive_integer(oracle, args, cap, value):
+    with pytest.raises(DomainError, match=f"^{cap} cap must be an integer >= 1"):
+        oracle(*args, value)
 
 
 @pytest.mark.parametrize("oracle,args,position", [

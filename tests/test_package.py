@@ -1,9 +1,11 @@
-"""The package root exports nothing, importing a module and running a
-command each load only the modules they need (and never `typing`), only
-the algebraic route and the CLI reach the closed
-forms (and neither computes one of its own), and the oracles reach nothing
-of the package but its errors. Every function outside the oracles is run
-by a README command, and one function holds the bool-and-integer check."""
+"""The package root exports nothing, and importing a module or running a
+command loads only the modules it needs, each checked by one probe: a
+fresh `python -S` interpreter, so that nothing `site` preloads can hide a
+load (no probe may load `typing`, `json`, `csv`, `dataclasses` or
+`inspect`). Only the algebraic route and the CLI reach the closed forms
+(and neither computes one of its own), and the oracles reach nothing of
+the package but its errors. Every function outside the oracles is run by
+a README command, and one function holds the bool-and-integer check."""
 import ast
 import inspect
 import io
@@ -21,10 +23,10 @@ from figulat.cli import main
 from figulat.verifier import verify_algebraic
 
 
-def modules_loaded_by(statement, *flags):
+def modules_loaded_by(statement):
     """The modules that `statement` adds to a bare interpreter started with
-    `flags`, so that modules the environment's `site` preloads do not
-    count."""
+    `-S`, so that nothing the environment's `site` preloads can hide a
+    load."""
     src = str(Path(figulat.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -33,7 +35,7 @@ def modules_loaded_by(statement, *flags):
         "print(*sorted(set(sys.modules) - bare))"
     )
     return set(subprocess.run(
-        [sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True,
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     ).stdout.split())
 
@@ -48,33 +50,18 @@ def test_package_root_binds_no_public_function_or_class():
     assert bound == []
 
 
-def test_combinatorics_import_loads_no_face_or_route_modules():
-    added = modules_loaded_by("import figulat.combinatorics")
-    assert "figulat.combinatorics" in added
-    assert added & {"figulat.facets", "figulat.lattice", "figulat.verifier"} == set()
-
-
-def test_cli_import_loads_no_command_specific_modules():
-    added = modules_loaded_by("import figulat.cli")
-    assert "figulat.cli" in added
-    assert added & {"dataclasses", "inspect", "json", "csv", "figulat.oracles",
-                    "figulat.combinatorics", "figulat.facets", "figulat.lattice",
-                    "figulat.verifier"} == set()
-
-
-def modules_run_by(command, *flags):
-    """The modules that `figulat <command>` loads, run through
-    `figulat.cli.main` in a fresh interpreter started with `flags`; the
-    command must exit 0."""
-    return modules_loaded_by(
-        "import io, figulat.cli; assert figulat.cli.main("
-        f"{command.split()!r}, out=io.StringIO(), err=io.StringIO()) == 0", *flags)
-
-
 BASE = {"cli", "errors"}
 SMALL_AUDIT = "audit --m-max 2 --k-max 2 --n-max 2 --p-max 2 --cover-p-max 2 --cover-n-max 2"
 
-
+# Each module's import by the package modules it must load and no others:
+# the CLI loads no command's layers, and neither the face layers nor the
+# oracles reach the closed forms.
+IMPORTED = {
+    "import figulat.cli": BASE,
+    "import figulat.combinatorics": {"combinatorics", "errors"},
+    "import figulat.lattice": {"lattice", "facets", "errors"},
+    "import figulat.oracles": {"oracles", "errors"},
+}
 # Each command, small, by the package modules it must load and no others.
 LOADED = {
     "table --kind stirling --m 0..3": BASE | {"combinatorics"},
@@ -89,32 +76,24 @@ LOADED = {
     # oracles; it runs no route, so it leaves `verifier` unloaded.
     SMALL_AUDIT: BASE | {"combinatorics", "facets", "lattice", "oracles"},
 }
+# Modules that no import and no command may load: the annotations need no
+# `typing`, and the plain-table commands need no writer of another format.
+NEVER_LOADED = {"typing", "json", "csv", "dataclasses", "inspect"}
 
 
-@pytest.mark.parametrize("command", LOADED)
-def test_each_command_loads_only_the_modules_it_runs(command):
-    loaded = {name.removeprefix("figulat.") for name in modules_run_by(command)
-              if name.startswith("figulat.")}
-    assert loaded == LOADED[command]
-
-
-@pytest.mark.parametrize("command", [pytest.param(None, id="import figulat.cli"), *LOADED])
-def test_cli_import_and_each_command_load_no_typing(command):
-    """`site` may preload `typing` (through a `.pth` file), so this probe
-    runs without it."""
-    if command is None:
-        added = modules_loaded_by("import figulat.cli", "-S")
+@pytest.mark.parametrize("probe", [*IMPORTED, *LOADED])
+def test_each_import_and_command_loads_only_the_modules_it_runs(probe):
+    """A command runs through `figulat.cli.main` and must exit 0."""
+    if probe in IMPORTED:
+        added, expected = modules_loaded_by(probe), IMPORTED[probe]
     else:
-        added = modules_run_by(command, "-S")
-    assert "figulat.cli" in added
-    assert "typing" not in added
-
-
-@pytest.mark.parametrize("module", ["figulat.lattice", "figulat.oracles"])
-def test_enumeration_and_oracle_imports_load_no_closed_form(module):
-    added = modules_loaded_by(f"import {module}")
-    assert module in added
-    assert "figulat.combinatorics" not in added
+        added = modules_loaded_by(
+            "import io, figulat.cli; assert figulat.cli.main("
+            f"{probe.split()!r}, out=io.StringIO(), err=io.StringIO()) == 0")
+        expected = LOADED[probe]
+    assert {name.removeprefix("figulat.") for name in added
+            if name.startswith("figulat.")} == expected
+    assert added & NEVER_LOADED == set()
 
 
 PACKAGE = Path(figulat.__file__).resolve().parent
@@ -174,12 +153,6 @@ def test_algebraic_route_reads_one_row_and_one_column_per_cell(record_calls):
 def test_oracles_import_only_errors_and_only_the_cli_imports_them():
     assert package_imports(PACKAGE / "oracles.py") == {"errors"}
     assert importers_of("oracles") == {"cli"}
-
-
-def test_oracle_import_loads_only_errors():
-    added = modules_loaded_by("import figulat.oracles")
-    assert {name for name in added if name.split(".")[0] == "figulat"} == {
-        "figulat", "figulat.errors", "figulat.oracles"}
 
 
 # Recursion the guard below allows: `extend` builds set partitions of at

@@ -256,3 +256,10 @@ class TestSweep:
     def test_rejects_values_a_route_rejects_at_call_time(self, ps, ns):
         with pytest.raises(DomainError, match="requires integer p and n"):
             sweep(ps, ns)
+
+    @pytest.mark.parametrize("budget", ["max_expressions", "max_points"])
+    @pytest.mark.parametrize("cap", [True, 0, 2.0])
+    def test_rejects_a_bad_cap_at_call_time_whatever_the_routes(self, budget, cap):
+        name = budget.removeprefix("max_").removesuffix("s")
+        with pytest.raises(DomainError, match=f"^{name} cap must be an integer >= 1"):
+            sweep([1, 2], [1], ["algebraic", "geometric"], **{budget: cap})
