@@ -257,9 +257,9 @@ class TestSweep:
         with pytest.raises(DomainError, match="requires integer p and n"):
             sweep(ps, ns)
 
-    @pytest.mark.parametrize("budget", ["max_expressions", "max_points"])
+    @pytest.mark.parametrize("budget, name", [("max_expressions", "expression"),
+                                              ("max_points", "point")])
     @pytest.mark.parametrize("cap", [True, 0, 2.0])
-    def test_rejects_a_bad_cap_at_call_time_whatever_the_routes(self, budget, cap):
-        name = budget.removeprefix("max_").removesuffix("s")
+    def test_rejects_a_bad_cap_at_call_time_whatever_the_routes(self, budget, name, cap):
         with pytest.raises(DomainError, match=f"^{name} cap must be an integer >= 1"):
             sweep([1, 2], [1], ["algebraic", "geometric"], **{budget: cap})
