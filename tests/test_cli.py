@@ -12,7 +12,7 @@ import pytest
 
 from figulat import cli, combinatorics, facets, lattice, oracles, verifier
 from figulat.cli import main
-from make_cli_corpus import CORPUS, readme_cli_examples, run
+from make_cli_corpus import CORPUS, cases, changes, readme_cli_examples, run
 
 # Argv, exit code, stdout and stderr of the listings, written by
 # `tests/make_cli_corpus.py`.
@@ -443,3 +443,24 @@ def test_readme_cli_example_runs(command):
 def test_listing_bytes_match_the_corpus(case):
     assert run(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
+
+
+def test_corpus_holds_exactly_the_generated_cases():
+    # A case added to `make_cli_corpus.py` but never regenerated, or one
+    # left in the file after it was dropped there, fails here.
+    assert [case["argv"] for case in CASES] == cases()
+
+
+def test_regeneration_names_each_case_it_drops_adds_or_changes():
+    def case(command, stdout):
+        return {"argv": shlex.split(command), "code": 0, "stdout": stdout, "stderr": ""}
+    old = [case("facets --p 3 --l 1", "a\n"), case("table --kind stirling --m 0..4", "b\n"),
+           case("verify --p 1..5 --n 1..3 --route pointwise", "c\n")]
+    new = [case("facets --p 3 --l 1", "a\n"), case("table --kind stirling --m 0..4", "B\n"),
+           case("verify --p 1..6 --n 1..3 --route pointwise", "c\n")]
+    assert changes(old, new) == [
+        "dropped verify --p 1..5 --n 1..3 --route pointwise",
+        "changed table --kind stirling --m 0..4",
+        "added verify --p 1..6 --n 1..3 --route pointwise",
+    ]
+    assert changes(new, new) == []
