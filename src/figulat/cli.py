@@ -134,8 +134,8 @@ def cmd_table(args, out, err) -> int:
 
 
 def cmd_facets(args, out, err) -> int:
-    from .facets import enumerate_facets, facet_to_surjection
-    faces = enumerate_facets(args.p, args.l, args.max_expressions)
+    from .facets import facet_to_surjection, iter_facets
+    faces = iter_facets(args.p, args.l, args.max_expressions)
     # Every codimension-l face has p - l blocks, so one count serves them all.
     counts = {}
     if args.with_counts is not None:

@@ -2,9 +2,10 @@
 
 A face is an ordered set partition of {1..p}: blocks of indices with equal
 coordinates, block values weakly decreasing in block order; codimension l
-means p-l blocks. Faces are built directly, each once, already in sorted
-order of their block sequences. Partitions into k blocks are in bijection
-with surjections {1..p} -> {1..k}, given as plain tuples of values.
+means p-l blocks. `iter_facets` builds them directly, each once and one at
+a time, in sorted order of their block sequences; `enumerate_facets` is
+its list. Partitions into k blocks are in bijection with surjections
+{1..p} -> {1..k}, given as plain tuples of values.
 
 The paper counts the codimension-l faces as collapsed chain expressions,
 p! * C(p-1, l) of them; collapsing them all is
@@ -20,7 +21,7 @@ checks through the same call. The package's generators build with
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import comb, factorial
 
 from .errors import (
@@ -52,10 +53,6 @@ class OrderedSetPartition(namedtuple("OrderedSetPartition", "blocks")):
     def _make(cls, iterable):
         """Build through the validating constructor, so `_replace` checks."""
         return cls(*iterable)
-
-    @property
-    def ground_size(self) -> int:
-        return sum(map(len, self.blocks))
 
     @property
     def num_blocks(self) -> int:
@@ -94,18 +91,19 @@ def check_every_codimension(p: int, max_expressions: int) -> None:
         _check_enumeration_budget(p, l, max_expressions)
 
 
-def _block_sequences(left: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], ...]]:
+def _block_sequences(left: tuple[int, ...], k: int):
     """Every sequence of k nonempty ascending blocks partitioning `left`, in
-    lexicographic order: the first blocks are taken in sorted order.
+    lexicographic order (first blocks taken in sorted order), in runs: one
+    iterable per shared prefix of k - 2 blocks, so chaining them stays in C.
 
     The sorted (first block, rest) splits of each (indices left, blocks
     left) are built once per call, so every sequence reuses the same block
     tuples instead of building its own; the last two blocks of a sequence
     are one such split."""
     if k == 1:
-        return [(left,)]
+        yield [(left,)]
+        return
     splits: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], ...]]] = {}
-    sequences: list[tuple[tuple[int, ...], ...]] = []
     # Depth first, each node's children pushed in reverse, so sequences
     # come out in order.
     stack = [(left, k, ())]
@@ -122,31 +120,32 @@ def _block_sequences(left: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...
                 )
             ]
         if k == 2:
-            sequences.extend(map(prefix.__add__, pairs))
+            yield map(prefix.__add__, pairs)
         else:
             stack.extend((rest, k - 1, prefix + (first,)) for first, rest in reversed(pairs))
-    return sequences
+
+
+def iter_facets(p: int, l: int, max_expressions: int = DEFAULT_MAX_EXPRESSIONS):
+    """Every distinct codimension-l face, one at a time, in lexicographic
+    order of block sequence. The arguments and the cap are checked when
+    this is called, before the first face is built."""
+    _check_enumeration_budget(p, l, max_expressions)
+    sequences = chain.from_iterable(_block_sequences(tuple(range(1, p + 1)), p - l))
+    # Every block sequence here is a valid face.
+    return map(tuple.__new__, repeat(OrderedSetPartition), zip(sequences))
 
 
 def enumerate_facets(
     p: int, l: int, max_expressions: int = DEFAULT_MAX_EXPRESSIONS
 ) -> list[OrderedSetPartition]:
-    """All distinct codimension-l faces, generated in lexicographic order of
-    block sequence."""
-    _check_enumeration_budget(p, l, max_expressions)
-    # Each face replaces its block sequence in place, so no second list of
-    # the codimension is held.
-    faces = _block_sequences(tuple(range(1, p + 1)), p - l)
-    new = tuple.__new__  # every block sequence here is a valid face
-    for i, blocks in enumerate(faces):
-        faces[i] = new(OrderedSetPartition, (blocks,))
-    return faces
+    """The faces of `iter_facets`, as a list."""
+    return list(iter_facets(p, l, max_expressions))
 
 
 def facet_to_surjection(facet: OrderedSetPartition) -> tuple[int, ...]:
     """The values of the surjection that sends every index in block i to
     i (blocks numbered from 1)."""
-    values = [0] * facet.ground_size
+    values = [0] * sum(map(len, facet.blocks))
     for i, block in enumerate(facet.blocks, start=1):
         for idx in block:
             values[idx - 1] = i

@@ -19,12 +19,20 @@ of the caller's environment kept. Each tree first runs it once untimed, so
 that any bytecode caches the environment allows are written on both
 sides; then N pairs (default 30) are timed, alternating which tree runs
 first. For each command it prints each tree's median wall time and median
-child CPU time (user plus system, from `os.wait4`), in ms, and in how many
-pairs the working tree took less of each. It exits 1 if any run's exit
-code, stdout or stderr differs from REV's first run. Standard library
-only; pytest does not collect this file.
+child CPU time (user plus system), in ms, and median peak RSS, in MB,
+both from `os.wait4`, and in how many pairs the working tree took less of
+each. It exits 1 if any run's exit code, stdout or stderr differs from
+REV's first run. Standard library only; pytest does not collect this file.
+
+The peak RSS is the child's `ru_maxrss`, which on Linux is floored by this
+process's own peak, since `subprocess` starts the child by vfork: a
+command that peaks below that floor (about 19 MB with CPython 3.11) reads
+as the floor on both sides, so only peaks above it compare. So that the
+floor stays there, outputs are compared by their SHA-256 digests, read in
+chunks, and no run's output is held whole.
 """
 import argparse
+import hashlib
 import os
 import shlex
 import shutil
@@ -32,6 +40,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from functools import partial
 from statistics import median
 from time import perf_counter
 
@@ -39,8 +48,17 @@ ROOT = Path(__file__).resolve().parent.parent
 ENTRY = "import sys; from figulat.cli import main; sys.exit(main())"
 
 
+def digest(file):
+    file.seek(0)
+    sha = hashlib.sha256()
+    for chunk in iter(partial(file.read, 1 << 16), b""):
+        sha.update(chunk)
+    return sha.digest()
+
+
 def run(src, argv):
-    """(exit code, stdout, stderr, wall s, CPU s) of one fresh interpreter."""
+    """(exit code, stdout digest, stderr digest, wall s, CPU s, peak RSS MB)
+    of one fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = perf_counter()
@@ -48,10 +66,8 @@ def run(src, argv):
                                 stdin=subprocess.DEVNULL, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        err.seek(0)
-        return proc.returncode, out.read(), err.read(), wall, usage.ru_utime + usage.ru_stime
+        return (os.waitstatus_to_exitcode(status), digest(out), digest(err), wall,
+                usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024)
 
 
 def compare(command, trees, pairs):
@@ -63,13 +79,14 @@ def compare(command, trees, pairs):
     for pair in range(pairs):
         order = ("base", "tree") if pair % 2 == 0 else ("tree", "base")
         for name in order:
-            *result, wall, cpu = run(trees[name], argv)
-            same = same and tuple(result) == expected
-            times[name].append((wall, cpu))
-    wins = [sum(t[i] < b[i] for t, b in zip(times["tree"], times["base"])) for i in (0, 1)]
-    row = [f"{1000 * median(t[i] for t in times[name]):.1f}"
-           for i in (0, 1) for name in ("base", "tree")]
-    return [*row, f"{wins[0]}/{pairs}", f"{wins[1]}/{pairs}", command], same
+            result = run(trees[name], argv)
+            same = same and result[:3] == expected
+            times[name].append(result[3:])
+    scales = (1000, 1000, 1)  # wall and CPU in ms, RSS in MB
+    wins = [sum(t[i] < b[i] for t, b in zip(times["tree"], times["base"])) for i in (0, 1, 2)]
+    row = [f"{scale * median(t[i] for t in times[name]):.1f}"
+           for i, scale in enumerate(scales) for name in ("base", "tree")]
+    return [*row, *(f"{w}/{pairs}" for w in wins), command], same
 
 
 def main():
@@ -86,10 +103,11 @@ def main():
         subprocess.run(["tar", "-x", "-C", trees["base"].parent], input=archive, check=True)
         shutil.copytree(ROOT / "src", trees["tree"],
                         ignore=shutil.ignore_patterns("__pycache__"))
-        header = ["wall base", "wall tree", "cpu base", "cpu tree", "wall wins", "cpu wins",
-                  "command"]
-        print(f"{args.rev} (base) against the working tree (tree); medians in ms over "
-              f"{args.pairs} pairs; wins: pairs where the tree took less")
+        header = ["wall base", "wall tree", "cpu base", "cpu tree", "rss base", "rss tree",
+                  "wall wins", "cpu wins", "rss wins", "command"]
+        print(f"{args.rev} (base) against the working tree (tree); medians over "
+              f"{args.pairs} pairs, times in ms and RSS in MB; wins: pairs where the tree "
+              f"took less")
         print("  ".join(header))
         all_same = True
         for command in args.commands:

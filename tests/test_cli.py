@@ -150,8 +150,8 @@ def test_budget_flags_need_positive_integers(argv, value):
 
 def test_bad_with_counts_is_rejected_before_any_face_is_built(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_facets was called")
-    monkeypatch.setattr(facets, "enumerate_facets", refuse)
+        raise AssertionError("iter_facets was called")
+    monkeypatch.setattr(facets, "iter_facets", refuse)
     code, out, _ = run(["facets", "--p", "8", "--l", "3", "--with-counts", "0"])
     assert code == 2 and out == ""
 
@@ -244,23 +244,31 @@ def test_a_sweep_holds_one_report_at_a_time():
 
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 def test_a_streamed_listing_does_not_grow_with_its_length(fmt):
-    """json-lines and csv write each record as it is made, so a listing
-    twice as long peaks at about the same memory. The output is discarded,
-    and a collection before each run keeps garbage from earlier runs out of
-    the peak."""
-    argv = ["table", "--kind", "figurate", "--k", "1", "--format", fmt, "--n"]
+    """json-lines and csv write each record as it is made, and a face
+    listing builds each face as its record is made, so a listing several
+    times as long peaks at about the same memory. What a face listing does
+    hold is its table of block splits, sized by p and l, not by the number
+    of faces: at p=7 the table of l=4 (1,806 faces) is larger than that of
+    l=1 (15,120 faces), where a list of the faces would take over three
+    times the memory. The output is discarded, and a collection before each
+    run keeps garbage from earlier runs out of the peak."""
+    listings = [  # (argv but its last value, short last value, long last value)
+        (["table", "--kind", "figurate", "--k", "1", "--format", fmt, "--n"],
+         "1..5000", "1..10000"),
+        (["facets", "--p", "7", "--format", fmt, "--l"], "4", "1"),
+    ]
     with open(os.devnull, "w") as sink:
-        assert main(argv + ["1..10"], out=sink, err=sink) == 0  # imports the writer
-
-        def peak(ns):
+        def peak(argv):
             gc.collect()
             tracemalloc.start()
             try:
-                assert main(argv + [ns], out=sink, err=sink) == 0
+                assert main(argv, out=sink, err=sink) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak("1..10000") < 1.2 * peak("1..5000")
+        for argv, short, long in listings:
+            peak(argv + [short])  # imports the writer and the command's layers
+            assert peak(argv + [long]) < 1.2 * peak(argv + [short]), argv
 
 
 class TestTableCommand:
@@ -426,17 +434,18 @@ def test_readme_has_cli_examples():
 
 @pytest.mark.parametrize("command", readme_cli_examples())
 def test_readme_cli_example_runs(command):
+    # `test_listing_bytes_match_the_corpus` replays each example's case,
+    # and TestAuditCommand.test_default_flags_pass runs the default audit.
     argv = shlex.split(command)
+    args = cli.build_parser().parse_args(argv)
     if argv[0] == "audit":
-        # TestAuditCommand.test_default_flags_pass runs the default audit.
-        assert cli.build_parser().parse_args(argv).func is cli.cmd_audit
+        assert args.func is cli.cmd_audit
         return
-    code, out, err = run(argv)
-    assert (code, err) == (0, "")
-    assert out
-    # The corpus pins its bytes; plain-table is the default format.
-    pinned = argv if "--format" in argv else argv + ["--format", "plain-table"]
-    assert [case["stdout"] for case in CASES if case["argv"] == pinned] == [out]
+    if "--format" not in argv:
+        assert args.format == "plain-table"
+        argv += ["--format", "plain-table"]
+    (case,) = [case for case in CASES if case["argv"] == argv]
+    assert (case["code"], case["stderr"]) == (0, "") and case["stdout"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial
 
 import pytest
@@ -12,6 +12,7 @@ from figulat.facets import (
     check_every_codimension,
     enumerate_facets,
     facet_to_surjection,
+    iter_facets,
 )
 from figulat.oracles import oracle_collapsed_faces, oracle_surjection_to_facet
 from figulat.verifier import LTerm, SkippedCell, VerificationReport
@@ -173,14 +174,16 @@ class TestEnumerateFacets:
     def test_block_sequences_are_generated_sorted(self):
         for p in range(1, 8):
             for k in range(1, p + 1):
-                sequences = list(_block_sequences(tuple(range(1, p + 1)), k))
+                sequences = list(chain.from_iterable(_block_sequences(tuple(range(1, p + 1)), k)))
                 assert sequences == sorted(sequences)
 
     @pytest.mark.parametrize("p", range(1, 8))
     def test_direct_generation_matches_chain_expression_collapse(self, p):
         for l in range(p):
             collapsed = sorted(oracle_collapsed_faces(p, l))
-            assert [face.blocks for face in enumerate_facets(p, l)] == collapsed
+            faces = enumerate_facets(p, l)
+            assert [face.blocks for face in faces] == collapsed
+            assert list(iter_facets(p, l)) == faces
 
     def test_collapse_builds_no_face_and_yields_only_valid_ones(self, count_validations):
         validated = count_validations(OrderedSetPartition)
@@ -207,10 +210,12 @@ class TestEnumerateFacets:
                 validated.clear()
 
     def test_expression_cap_checked_before_any_face(self):
+        # The stream checks when it is called, before it yields anything.
         required = factorial(6) * comb(5, 2)
-        with pytest.raises(BudgetExceededError, match=r"\(p=6, l=2\)"):
-            enumerate_facets(6, 2, max_expressions=required - 1)
-        assert len(enumerate_facets(6, 2, max_expressions=required)) == facet_count(6, 2)
+        for build in (enumerate_facets, iter_facets):
+            with pytest.raises(BudgetExceededError, match=r"\(p=6, l=2\)"):
+                build(6, 2, max_expressions=required - 1)
+            assert len(list(build(6, 2, max_expressions=required))) == facet_count(6, 2)
 
     def test_a_need_too_long_to_print_is_refused_by_its_size(self):
         # factorial(2000) has 5,736 digits, more than an int prints by default.
@@ -223,16 +228,19 @@ class TestEnumerateFacets:
 
     @pytest.mark.parametrize("p,l", [(True, 0), (2.0, 0), (2, True), (2, 1.0)])
     def test_rejects_dimension_or_codimension_not_an_integer(self, p, l):
-        with pytest.raises(DomainError, match="must be an integer"):
-            enumerate_facets(p, l)
+        for build in (enumerate_facets, iter_facets):
+            with pytest.raises(DomainError, match="must be an integer"):
+                build(p, l)
 
     def test_rejects_bad_codimension(self):
-        with pytest.raises(DomainError):
-            enumerate_facets(3, 3)
+        for build in (enumerate_facets, iter_facets):
+            with pytest.raises(DomainError, match=r"^codimension must satisfy .*l=3 for p=3$"):
+                build(3, 3)
 
     @pytest.mark.parametrize("cap", [True, 0, -5, 2.0, "x", None])
     def test_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
         for check in (lambda: enumerate_facets(3, 1, max_expressions=cap),
+                      lambda: iter_facets(3, 1, max_expressions=cap),
                       lambda: check_every_codimension(3, cap)):
             with pytest.raises(DomainError, match="^expression cap must be an integer >= 1"):
                 check()
@@ -249,8 +257,9 @@ class TestCheckEveryCodimension:
 
     @pytest.mark.parametrize("p", [0, -3, True, 2.0])
     def test_rejects_bad_dimension(self, p):
-        with pytest.raises(DomainError, match="^dimension must be "):
-            check_every_codimension(p, 1)
+        for check in (lambda: check_every_codimension(p, 1), lambda: iter_facets(p, 0)):
+            with pytest.raises(DomainError, match="^dimension must be "):
+                check()
 
 
 class TestSurjectionBijection:

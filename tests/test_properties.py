@@ -52,7 +52,7 @@ def faces_and_points(draw):
     weakly decreasing in block order when `inside` is drawn, and then,
     when `moved` is drawn, one coordinate redrawn."""
     face = draw(faces())
-    p = face.ground_size
+    p = sum(map(len, face.blocks))
     n = draw(st.integers(1, 4))
     values = draw(st.lists(st.integers(0, n - 1), min_size=face.num_blocks,
                            max_size=face.num_blocks))
