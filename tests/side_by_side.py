@@ -39,8 +39,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
 from functools import partial
+from pathlib import Path
 from statistics import median
 from time import perf_counter
 
@@ -83,7 +83,7 @@ def compare(command, trees, pairs):
             same = same and result[:3] == expected
             times[name].append(result[3:])
     scales = (1000, 1000, 1)  # wall and CPU in ms, RSS in MB
-    wins = [sum(t[i] < b[i] for t, b in zip(times["tree"], times["base"])) for i in (0, 1, 2)]
+    wins = [sum(t[i] < b[i] for t, b in zip(times["tree"], times["base"])) for i in range(3)]
     row = [f"{scale * median(t[i] for t in times[name]):.1f}"
            for i, scale in enumerate(scales) for name in ("base", "tree")]
     return [*row, *(f"{w}/{pairs}" for w in wins), command], same
