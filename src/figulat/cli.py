@@ -3,8 +3,9 @@ listings, and the closed-form-vs-oracle audit.
 
 Exit codes: 0 all ok, 1 identity or audit failure, 2 usage error, 3 a
 sweep cell or listing was skipped for budget reasons, 4 a crash (any other
-exception; its traceback goes to stderr). Each command imports the layers
-it runs when it runs, so importing this module loads only `errors`.
+exception; its traceback goes to stderr), 141 stdout closed early by its
+reader. Each command imports the layers it runs when it runs, so
+importing this module loads only `errors`.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from collections.abc import Iterable, Sequence
 from itertools import chain
 
 from .errors import (
-    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, ROUTES, BudgetExceededError, DomainError)
+    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, ROUTES, BudgetExceededError, DomainError,
+    check_every_codimension)
 
 SCHEMA_VERSION = "1"
 MAX_POINTS_ENV = "FIGULAT_MAX_POINTS"
@@ -101,11 +103,7 @@ def cmd_verify(args, out, err) -> int:
             del cell  # before the next cell runs: one report is alive at a time
 
     emit_records(records(), args.format, out)
-    if any_failed:
-        return EXIT_FAILURE
-    if any_skipped:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_FAILURE if any_failed else EXIT_BUDGET if any_skipped else EXIT_OK
 
 
 def cmd_table(args, out, err) -> int:
@@ -160,7 +158,7 @@ def _audit_pairings(args):
     codimension's expressions grow with p, so checking that p once refuses
     before the first pairing."""
     from . import combinatorics, oracles
-    from .facets import check_every_codimension, enumerate_facets
+    from .facets import enumerate_facets
     from .lattice import cube_points, point_multiplicity
     check_every_codimension(max(args.p_max, args.cover_p_max), DEFAULT_MAX_EXPRESSIONS)
     for m in range(0, args.m_max + 1):
@@ -297,7 +295,16 @@ def _main(argv, out, err) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     try:
-        return args.func(args, out, err)
+        code = args.func(args, out, err)
+        out.flush()  # here, where a closed pipe is caught, not at shutdown
+        return code
+    except BrokenPipeError:
+        # The reader's choice (`| head -1`), not a crash: stdout goes to
+        # devnull, so the flush at shutdown cannot fail, and the exit is
+        # what a death by SIGPIPE reports, 128 + 13.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 141
     except DomainError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -1,6 +1,8 @@
 """Exceptions shared across the package, its one argument check, and the
 default caps, their refusals and the route names, which the CLI's parser
-and the routes' signatures need before any layer is loaded."""
+and the routes' signatures need before any layer is loaded. Every check of
+a cap, and every refusal of a need over its cap, is made here."""
+from math import comb, factorial
 
 # Default budgets: every face enumeration with p <= 9 fits the expression
 # cap (9! * 2^8 raw expressions), and a cube scan or one face's point
@@ -18,9 +20,7 @@ _PRINTABLE = 10 ** 4299
 
 def _size(value: int) -> str:
     """The value in decimal, or, past 4,299 digits, a power-of-two bound."""
-    if value < _PRINTABLE:
-        return str(value)
-    return f"at least 2^{value.bit_length() - 1}"
+    return str(value) if value < _PRINTABLE else f"at least 2^{value.bit_length() - 1}"
 
 
 class DomainError(ValueError):
@@ -48,3 +48,41 @@ class BudgetExceededError(RuntimeError):
 
 class ExactnessError(ArithmeticError):
     """An internal division that must be exact left a remainder."""
+
+
+def check_cap(template: str, cap: int) -> None:
+    """Raise DomainError, `template` formatted, unless the cap is an int >= 1."""
+    if type(cap) is not int or cap < 1:  # an exact int >= 1, the common case, takes one test
+        check_integers(template, cap)
+        if cap < 1:
+            raise DomainError(template.format(cap))
+
+
+def check_need(required: int, cap: int, template: str, *values) -> None:
+    """Raise BudgetExceededError if `required` exceeds `cap`, formatting its message only then."""
+    if required > cap:
+        raise BudgetExceededError(template.format(*values), required, cap)
+
+
+def _check_enumeration_budget(p: int, l: int | None, max_expressions: int) -> None:
+    """Raise unless p, l and the cap are valid, in that order, and the p! * C(p-1, l)
+    chain expressions fit the cap; with l None, those of each l = 0..p-1 in turn."""
+    check_integers("dimension must be an integer, got {!r}", p)
+    if p < 1:
+        raise DomainError(f"dimension must be >= 1, got p={p}")
+    if l is not None:
+        check_integers("codimension must be an integer, got {!r}", l)
+        if l < 0 or l >= p:
+            raise DomainError(f"codimension must satisfy 0 <= l <= p-1, got l={l} for p={p}")
+    check_cap(EXPRESSION_CAP, max_expressions)
+    p_factorial = factorial(p)
+    for l in range(p) if l is None else (l,):
+        check_need(p_factorial * comb(p - 1, l), max_expressions,
+                   "chain-expression enumeration for (p={}, l={}) exceeds the expression cap", p, l)
+
+
+def check_every_codimension(p: int, max_expressions: int) -> None:
+    """Raise unless every codimension l = 0..p-1 fits the expression cap,
+    checked in order of l. Callers that build the faces of the whole
+    identity call this before they build the first face."""
+    _check_enumeration_budget(p, None, max_expressions)

@@ -10,7 +10,8 @@ its list. Partitions into k blocks are in bijection with surjections
 The paper counts the codimension-l faces as collapsed chain expressions,
 p! * C(p-1, l) of them; collapsing them all is
 `oracles.oracle_collapsed_faces`, the brute-force reference. The expression
-cap bounds that same count, and is checked before any face is built.
+cap bounds that same count; `errors`, the one package module imported here,
+checks it before any face is built.
 
 Faces are immutable named tuples that compare and hash like their bare
 tuples, as the verifier's reports do. A direct call checks its arguments,
@@ -22,10 +23,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, combinations, repeat
-from math import comb, factorial
 
-from .errors import (
-    DEFAULT_MAX_EXPRESSIONS, EXPRESSION_CAP, BudgetExceededError, DomainError, check_integers)
+from .errors import DEFAULT_MAX_EXPRESSIONS, DomainError, _check_enumeration_budget, check_integers
 
 
 class OrderedSetPartition(namedtuple("OrderedSetPartition", "blocks")):
@@ -61,34 +60,6 @@ class OrderedSetPartition(namedtuple("OrderedSetPartition", "blocks")):
     def text(self) -> str:
         """Stable text form, e.g. '{1,2}>={3}'."""
         return ">=".join("{" + ",".join(str(i) for i in b) + "}" for b in self.blocks)
-
-
-def _check_enumeration_budget(p: int, l: int, max_expressions: int) -> None:
-    """Raise unless the p! * C(p-1, l) chain expressions fit the cap."""
-    check_integers("dimension must be an integer, got {!r}", p)
-    if p < 1:
-        raise DomainError(f"dimension must be >= 1, got p={p}")
-    check_integers("codimension must be an integer, got {!r}", l)
-    if l < 0 or l >= p:
-        raise DomainError(f"codimension must satisfy 0 <= l <= p-1, got l={l} for p={p}")
-    check_integers(EXPRESSION_CAP, max_expressions)
-    if max_expressions < 1:
-        raise DomainError(EXPRESSION_CAP.format(max_expressions))
-    required = factorial(p) * comb(p - 1, l)
-    if required > max_expressions:
-        raise BudgetExceededError(
-            f"chain-expression enumeration for (p={p}, l={l}) exceeds the "
-            f"expression cap", required, max_expressions
-        )
-
-
-def check_every_codimension(p: int, max_expressions: int) -> None:
-    """Raise unless every codimension l = 0..p-1 fits the expression cap,
-    checked in order of l. Callers that build the faces of the whole
-    identity call this before they build the first face."""
-    _check_enumeration_budget(p, 0, max_expressions)  # checks p first
-    for l in range(1, p):
-        _check_enumeration_budget(p, l, max_expressions)
 
 
 def _block_sequences(left: tuple[int, ...], k: int):

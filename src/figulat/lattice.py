@@ -12,7 +12,8 @@ first-block recurrence, with no face objects.
 A point is the plain tuple of its coordinates. The point generators
 check their side and cap, then yield the tuples `itertools` builds, with
 no check per point; `point_multiplicity` checks the coordinates of the
-point a caller gives it.
+point a caller gives it. `errors`, the one package module imported here,
+holds the budget checks, so the pointwise route never loads `facets`.
 """
 from __future__ import annotations
 
@@ -22,13 +23,12 @@ from itertools import accumulate, combinations, combinations_with_replacement, c
 from operator import itemgetter, or_
 
 from .errors import (
-    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, POINT_CAP, BudgetExceededError, DomainError,
-    check_integers)
-from .facets import OrderedSetPartition, check_every_codimension
+    DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, POINT_CAP, DomainError, check_cap,
+    check_every_codimension, check_integers, check_need)
 
 
 def enumerate_points(
-    facet: OrderedSetPartition, n: int, max_points: int = DEFAULT_MAX_POINTS
+    facet, n: int, max_points: int = DEFAULT_MAX_POINTS
 ) -> Iterator[tuple[int, ...]]:
     """Yield the lattice points of the face, each once. Read from the last
     block to the first, the block values weakly increase: they are the
@@ -36,16 +36,11 @@ def enumerate_points(
     check_integers("side must be an integer, got {!r}", n)
     if n < 1:
         raise DomainError(f"side must be >= 1, got {n}")
-    check_integers(POINT_CAP, max_points)
-    if max_points < 1:
-        raise DomainError(POINT_CAP.format(max_points))
+    check_cap(POINT_CAP, max_points)
     blocks = facet.blocks
     k = len(blocks)
-    if n ** k > max_points:
-        raise BudgetExceededError(
-            f"point enumeration for a {k}-block face at side {n} exceeds the "
-            f"point cap", n ** k, max_points
-        )
+    check_need(n ** k, max_points,
+               "point enumeration for a {}-block face at side {} exceeds the point cap", k, n)
     # where[i] is the position, counted from the last block, of the block
     # holding index i + 1. With one index the value tuple is already the
     # coordinate tuple; itemgetter of one index would return a bare value.
@@ -68,13 +63,8 @@ def cube_points(
     check_integers("side must be an integer, got {!r}", n)
     if n < 1:
         raise DomainError(f"side must be >= 1, got {n}")
-    check_integers(POINT_CAP, max_points)
-    if max_points < 1:
-        raise DomainError(POINT_CAP.format(max_points))
-    if n ** p > max_points:
-        raise BudgetExceededError(
-            f"cube scan for (p={p}, n={n}) exceeds the point cap", n ** p, max_points
-        )
+    check_cap(POINT_CAP, max_points)
+    check_need(n ** p, max_points, "cube scan for (p={}, n={}) exceeds the point cap", p, n)
     return product(range(n), repeat=p)
 
 

@@ -18,7 +18,7 @@ from operator import mul, neg
 
 from .errors import (
     DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, EXPRESSION_CAP, POINT_CAP, ROUTES,
-    BudgetExceededError, DomainError, check_integers)
+    BudgetExceededError, DomainError, check_cap, check_every_codimension, check_integers)
 
 
 LTerm = namedtuple("LTerm", "l facet_count per_facet_points signed_term")
@@ -76,13 +76,11 @@ def verify_geometric(
     right-hand side. Every codimension's budget is checked before the
     first face is built; `max_points` caps one face's enumeration, not the
     cell's total."""
-    from .facets import check_every_codimension, enumerate_facets
+    from .facets import enumerate_facets
     from .lattice import enumerate_points
     _validate(p, n)
     check_every_codimension(p, max_expressions)
-    terms = []
-    rhs = 0
-    points_enumerated = 0
+    terms, rhs, points_enumerated = [], 0, 0
     for l in range(p):
         faces = enumerate_facets(p, l, max_expressions)
         points = map(enumerate_points, faces, repeat(n), repeat(max_points))
@@ -114,12 +112,9 @@ def verify_pointwise(
     checks every codimension's before it builds any face."""
     from .lattice import cube_points, point_multiplicity
     _validate(p, n)
-    points = cube_points(p, n, max_points)
-    rhs = 0
+    rhs = points_enumerated = 0
     first_failure: tuple[int, ...] | None = None
-    points_enumerated = 0
-    for point in points:
-        points_enumerated += 1
+    for points_enumerated, point in enumerate(cube_points(p, n, max_points), 1):
         multiplicity = point_multiplicity(point, max_expressions=max_expressions)
         rhs += multiplicity
         if multiplicity != 1 and first_failure is None:
@@ -157,10 +152,8 @@ def sweep(
     for route in routes:
         if route not in run:
             raise DomainError(f"unknown route {route!r}; expected one of {ROUTES}")
-    for template, cap in ((EXPRESSION_CAP, max_expressions), (POINT_CAP, max_points)):
-        check_integers(template, cap)
-        if cap < 1:
-            raise DomainError(template.format(cap))
+    check_cap(EXPRESSION_CAP, max_expressions)
+    check_cap(POINT_CAP, max_points)
     # Checks every p and every n, even when the other sequence is empty.
     for p, n in zip_longest(ps, ns, fillvalue=1):
         _validate(p, n)

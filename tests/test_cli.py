@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shlex
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -269,6 +270,55 @@ def test_a_streamed_listing_does_not_grow_with_its_length(fmt):
         for argv, short, long in listings:
             peak(argv + [short])  # imports the writer and the command's layers
             assert peak(argv + [long]) < 1.2 * peak(argv + [short]), argv
+
+
+SMALL_AUDIT = [
+    "audit", "--m-max", "2", "--k-max", "2", "--n-max", "2", "--p-max", "2",
+    "--cover-p-max", "2", "--cover-n-max", "2"]
+
+
+def spawn_cli(argv, unbuffered, stdout):
+    """Start the console script's body on `argv` in a fresh interpreter,
+    with `PYTHONUNBUFFERED` set to 1 or unset; stderr is piped."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-c", "import sys; from figulat.cli import main; sys.exit(main())",
+         *argv], env=env, stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_stdout_early_is_no_crash(unbuffered):
+    """`| head -1`: the reader takes one line and closes the pipe while
+    far more output is due. The CLI stops with exit 141, what a tool killed
+    by SIGPIPE reports, and writes nothing to stderr: no traceback, and no
+    message from the flush at interpreter shutdown, whether each write goes
+    straight to the pipe or through stdout's buffer."""
+    argv = "verify --p 1..3000 --n 1..3 --route algebraic --format json-lines".split()
+    with spawn_cli(argv, unbuffered, subprocess.PIPE) as proc:
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (first["p"], first["n"], first["ok"]) == (1, 1, True)
+    assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_gone_before_the_first_write_is_no_crash(unbuffered):
+    """`| true`: the pipe's read end is closed before the CLI starts. With
+    stdout buffered, the one write is the flush the CLI makes on return,
+    not the one at shutdown, so this too exits 141 with nothing on
+    stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with spawn_cli(SMALL_AUDIT, unbuffered, write_end) as proc:
+            err = proc.stderr.read()
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, err) == (141, b"")
 
 
 class TestTableCommand:

@@ -4,18 +4,18 @@ from math import comb, factorial
 import pytest
 
 from figulat.combinatorics import facet_count
-from figulat.errors import BudgetExceededError, DomainError
+from figulat import errors
+from figulat.errors import BudgetExceededError, DomainError, check_every_codimension
 from figulat.facets import (
     DEFAULT_MAX_EXPRESSIONS,
     OrderedSetPartition,
     _block_sequences,
-    check_every_codimension,
     enumerate_facets,
     facet_to_surjection,
     iter_facets,
 )
 from figulat.oracles import oracle_collapsed_faces, oracle_surjection_to_facet
-from figulat.verifier import LTerm, SkippedCell, VerificationReport
+from figulat.verifier import LTerm, SkippedCell, VerificationReport, verify_geometric
 
 
 def brute_surjections(m, k):
@@ -254,6 +254,17 @@ class TestCheckEveryCodimension:
         with pytest.raises(BudgetExceededError, match=r"\(p=5, l=2\).*needs 720, budget is 719"):
             check_every_codimension(5, 719)
         check_every_codimension(5, 720)
+
+    def test_refuses_a_bad_cap_before_computing_any_need(self, monkeypatch):
+        # At p = 10^6 the factorial alone would take seconds.
+        def refuse(p):
+            raise AssertionError("a need was computed")
+        monkeypatch.setattr(errors, "factorial", refuse)
+        for check in (lambda: check_every_codimension(10 ** 6, 0),
+                      lambda: iter_facets(10 ** 6, 0, True),
+                      lambda: verify_geometric(10 ** 6, 1, max_expressions=0)):
+            with pytest.raises(DomainError, match="^expression cap must be an integer >= 1"):
+                check()
 
     @pytest.mark.parametrize("p", [0, -3, True, 2.0])
     def test_rejects_bad_dimension(self, p):

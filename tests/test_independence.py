@@ -4,10 +4,11 @@ Each route and each oracle runs on a few small cells while the
 `record_calls` fixture records every figulat function it calls. The
 recorded call sets may overlap only where the design says they do: the
 algebraic route shares nothing but argument validation with the other
-routes, the geometric and pointwise routes share only the check of the
-expression budget, and each oracle calls only its own module. Value-type
-constructors are allowed in the routes only; the oracles build no value
-of the package.
+routes, the geometric and pointwise routes share only the budget checks
+of `figulat.errors` (the expression budget of every codimension, and the
+check of a cap and of a need against it), and each oracle calls only its
+own module. Value-type constructors are allowed in the routes only; the
+oracles build no value of the package.
 """
 import pytest
 
@@ -18,9 +19,11 @@ from figulat.verifier import verify_algebraic, verify_geometric, verify_pointwis
 CELLS = [(1, 1), (2, 3), (3, 2), (4, 3)]
 
 VALIDATE = {"figulat.verifier._validate", "figulat.errors.check_integers"}
-EXPRESSION_BUDGET = {
-    "figulat.facets._check_enumeration_budget",
-    "figulat.facets.check_every_codimension",
+BUDGET = {
+    "figulat.errors._check_enumeration_budget",
+    "figulat.errors.check_every_codimension",
+    "figulat.errors.check_cap",
+    "figulat.errors.check_need",
 }
 
 
@@ -51,9 +54,9 @@ def test_algebraic_route_shares_only_validation(routes):
         assert algebraic & other == VALIDATE
 
 
-def test_geometric_and_pointwise_share_only_the_expression_budget(routes):
+def test_geometric_and_pointwise_share_only_the_budget_checks(routes):
     geometric, pointwise = routes["verify_geometric"], routes["verify_pointwise"]
-    assert geometric & pointwise == VALIDATE | EXPRESSION_BUDGET
+    assert geometric & pointwise == VALIDATE | BUDGET
     for route in (geometric, pointwise):
         assert not {name for name in route if name.startswith("figulat.combinatorics.")}
 

@@ -54,12 +54,12 @@ BASE = {"cli", "errors"}
 SMALL_AUDIT = "audit --m-max 2 --k-max 2 --n-max 2 --p-max 2 --cover-p-max 2 --cover-n-max 2"
 
 # Each module's import by the package modules it must load and no others:
-# the CLI loads no command's layers, and neither the face layers nor the
-# oracles reach the closed forms.
+# the CLI loads no command's layers, neither the face layers nor the
+# oracles reach the closed forms, and the pointwise layer builds no face.
 IMPORTED = {
     "import figulat.cli": BASE,
     "import figulat.combinatorics": {"combinatorics", "errors"},
-    "import figulat.lattice": {"lattice", "facets", "errors"},
+    "import figulat.lattice": {"lattice", "errors"},
     "import figulat.oracles": {"oracles", "errors"},
 }
 # Each command, small, by the package modules it must load and no others.
@@ -71,7 +71,7 @@ LOADED = {
     "facets --p 3 --l 1 --with-counts 2": BASE | {"facets", "combinatorics"},
     "verify --p 1..3 --n 1..2 --route algebraic": BASE | {"verifier", "combinatorics"},
     "verify --p 1..3 --n 1..2 --route geometric": BASE | {"verifier", "facets", "lattice"},
-    "verify --p 1..3 --n 1..2 --route pointwise": BASE | {"verifier", "facets", "lattice"},
+    "verify --p 1..3 --n 1..2 --route pointwise": BASE | {"verifier", "lattice"},
     # The audit pairs every layer's closed forms and enumerations with the
     # oracles; it runs no route, so it leaves `verifier` unloaded.
     SMALL_AUDIT: BASE | {"combinatorics", "facets", "lattice", "oracles"},
@@ -153,6 +153,12 @@ def test_algebraic_route_reads_one_row_and_one_column_per_cell(record_calls):
 def test_oracles_import_only_errors_and_only_the_cli_imports_them():
     assert package_imports(PACKAGE / "oracles.py") == {"errors"}
     assert importers_of("oracles") == {"cli"}
+
+
+@pytest.mark.parametrize("module", ["facets", "lattice"])
+def test_face_and_point_layers_import_only_errors(module):
+    """`errors` owns every budget check, so neither layer needs the other."""
+    assert package_imports(PACKAGE / f"{module}.py") == {"errors"}
 
 
 # Recursion the guard below allows: `extend` builds set partitions of at
