@@ -20,7 +20,6 @@ from .errors import (
     check_every_codimension)
 
 SCHEMA_VERSION = "1"
-MAX_POINTS_ENV = "FIGULAT_MAX_POINTS"
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -156,9 +155,10 @@ def _audit_pairings(args):
     oracle pairing. The face counts and the signed cover build every face
     of each p up to the larger of their bounds, at the default cap; each
     codimension's expressions grow with p, so checking that p once refuses
-    before the first pairing."""
+    before the first pairing. The face counts count the face stream, so
+    one face is alive at a time."""
     from . import combinatorics, oracles
-    from .facets import enumerate_facets
+    from .facets import iter_facets
     from .lattice import cube_points, point_multiplicity
     check_every_codimension(max(args.p_max, args.cover_p_max), DEFAULT_MAX_EXPRESSIONS)
     for m in range(0, args.m_max + 1):
@@ -192,7 +192,7 @@ def _audit_pairings(args):
         for l in range(p):
             yield (
                 f"facet count p={p} l={l}",
-                len(enumerate_facets(p, l)),
+                sum(1 for _ in iter_facets(p, l)),
                 combinatorics.facet_count(p, l),
             )
     for p in range(1, args.cover_p_max + 1):
@@ -233,11 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=formats, default="plain-table")
     verify.add_argument("--max-expressions", type=positive_int,
                         default=DEFAULT_MAX_EXPRESSIONS)
-    # argparse runs a string default through `type`, so a bad
-    # FIGULAT_MAX_POINTS is a usage error like a bad --max-points.
-    verify.add_argument("--max-points", type=positive_int,
-                        default=os.environ.get(MAX_POINTS_ENV, DEFAULT_MAX_POINTS),
-                        help=f"default: ${MAX_POINTS_ENV}, else {DEFAULT_MAX_POINTS}")
+    verify.add_argument("--max-points", type=positive_int, default=DEFAULT_MAX_POINTS,
+                        help="default: %(default)s")
     verify.set_defaults(func=cmd_verify)
 
     table = sub.add_parser("table", help="print exact number tables")
@@ -273,10 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _main(argv, out, err)
-    # Print exact results of any length; Python builds that have this
-    # setter refuse by default to convert ints over 4300 digits to text.
+    # Print exact results of any length: Python refuses by default to
+    # convert ints over 4300 digits to text.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

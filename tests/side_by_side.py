@@ -18,11 +18,13 @@ console script's body, with the tree's `src` as `PYTHONPATH` and the rest
 of the caller's environment kept. Each tree first runs it once untimed, so
 that any bytecode caches the environment allows are written on both
 sides; then N pairs (default 30) are timed, alternating which tree runs
-first. For each command it prints each tree's median wall time and median
-child CPU time (user plus system), in ms, and median peak RSS, in MB,
-both from `os.wait4`, and in how many pairs the working tree took less of
-each. It exits 1 if any run's exit code, stdout or stderr differs from
-REV's first run. Standard library only; pytest does not collect this file.
+first. For each command it prints each tree's median wall time, with its
+quartiles, and median child CPU time (user plus system), in ms, and
+median peak RSS, in MB, both from `os.wait4`, and in how many pairs the
+working tree took less of each. A claimed gain must beat the spread
+between REV's quartiles as well as win most pairs. It exits 1 if any
+run's exit code, stdout or stderr differs from REV's first run. Standard
+library only; pytest does not collect this file.
 
 The peak RSS is the child's `ru_maxrss`, which on Linux is floored by this
 process's own peak, since `subprocess` starts the child by vfork: a
@@ -41,7 +43,7 @@ import sys
 import tempfile
 from functools import partial
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,7 +88,11 @@ def compare(command, trees, pairs):
     wins = [sum(t[i] < b[i] for t, b in zip(times["tree"], times["base"])) for i in range(3)]
     row = [f"{scale * median(t[i] for t in times[name]):.1f}"
            for i, scale in enumerate(scales) for name in ("base", "tree")]
-    return [*row, *(f"{w}/{pairs}" for w in wins), command], same
+    wall_quartiles = [f"{q1:.1f}..{q3:.1f}"
+                      for name in ("base", "tree")
+                      for q1, _, q3 in [quantiles(1000 * t[0] for t in times[name])]]
+    return [*row[:2], *wall_quartiles, *row[2:], *(f"{w}/{pairs}" for w in wins),
+            command], same
 
 
 def main():
@@ -95,6 +101,8 @@ def main():
     parser.add_argument("rev")
     parser.add_argument("commands", nargs="+", metavar="command")
     args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("--pairs needs at least 2 pairs for quartiles")
     with tempfile.TemporaryDirectory() as scratch:
         trees = {"base": Path(scratch) / "base" / "src", "tree": Path(scratch) / "tree" / "src"}
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
@@ -103,11 +111,12 @@ def main():
         subprocess.run(["tar", "-x", "-C", trees["base"].parent], input=archive, check=True)
         shutil.copytree(ROOT / "src", trees["tree"],
                         ignore=shutil.ignore_patterns("__pycache__"))
-        header = ["wall base", "wall tree", "cpu base", "cpu tree", "rss base", "rss tree",
+        header = ["wall base", "wall tree", "wall q1..q3 base", "wall q1..q3 tree",
+                  "cpu base", "cpu tree", "rss base", "rss tree",
                   "wall wins", "cpu wins", "rss wins", "command"]
         print(f"{args.rev} (base) against the working tree (tree); medians over "
-              f"{args.pairs} pairs, times in ms and RSS in MB; wins: pairs where the tree "
-              f"took less")
+              f"{args.pairs} pairs and the wall time's quartiles, times in ms and RSS in MB; "
+              f"wins: pairs where the tree took less")
         print("  ".join(header))
         all_same = True
         for command in args.commands:

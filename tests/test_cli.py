@@ -115,13 +115,6 @@ class TestVerifyCommand:
         ])
         assert (code, out) == (3, "")
 
-    def test_env_var_budget_override(self, monkeypatch):
-        monkeypatch.setenv("FIGULAT_MAX_POINTS", "8")
-        code, _, err = run([
-            "verify", "--p", "3..3", "--n", "3..3", "--route", "pointwise",
-        ])
-        assert code == 3 and "skipped" in err
-
     def test_csv_and_json_lines_carry_same_records(self):
         argv = ["verify", "--p", "1..3", "--n", "1..2", "--route", "all"]
         _, csv_out, _ = run(argv + ["--format", "csv"])
@@ -157,11 +150,17 @@ def test_bad_with_counts_is_rejected_before_any_face_is_built(monkeypatch):
     assert code == 2 and out == ""
 
 
-@pytest.mark.parametrize("value", ["0", "x"])
-def test_budget_env_var_needs_positive_integer(monkeypatch, value):
+@pytest.mark.parametrize("value", ["8", "0", "x"])
+def test_verify_depends_on_argv_alone(monkeypatch, value):
+    """The point cap's one source is `--max-points`: a FIGULAT_MAX_POINTS
+    left in the environment, whether below this cube's 27 points or not a
+    positive integer, changes neither the bytes nor the exit code."""
+    argv = ["verify", "--p", "3", "--n", "3", "--route", "pointwise"]
+    monkeypatch.delenv("FIGULAT_MAX_POINTS", raising=False)
+    unset = run(argv)
     monkeypatch.setenv("FIGULAT_MAX_POINTS", value)
-    code, out, _ = run(["verify", "--p", "1", "--n", "1"])
-    assert code == 2 and out == ""
+    assert run(argv) == unset
+    assert unset[0] == 0
 
 
 def test_pointwise_route_honours_expression_cap():
@@ -176,10 +175,7 @@ def test_pointwise_route_honours_expression_cap():
 @pytest.fixture
 def default_int_digit_limit():
     """The int-to-text digit limit a fresh interpreter starts with, restored
-    afterwards; builds without the limit have nothing to set."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    afterwards."""
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
@@ -207,8 +203,6 @@ def test_results_over_4300_digits_print_exactly(fmt, default_int_digit_limit):
     assert len(expected) > 4300
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                    reason="this Python has no int-to-text digit limit")
 def test_main_restores_the_int_digit_limit(default_int_digit_limit, monkeypatch):
     """`main` lifts the limit only while it runs, however it exits."""
     limit = sys.get_int_max_str_digits()
@@ -453,7 +447,7 @@ class TestAuditCommand:
         assert code == 2
 
     @pytest.mark.parametrize("bound,builder", [
-        ("--p-max", "enumerate_facets"),
+        ("--p-max", "iter_facets"),
         ("--cover-p-max", "point_multiplicity"),
     ])
     def test_face_checks_over_the_cap_are_refused_before_the_first(
@@ -461,7 +455,7 @@ class TestAuditCommand:
         # At p=10, l=0 and l=1 fit the default cap and l=2 does not.
         def refuse(*args):
             raise AssertionError(f"{builder} was called")
-        monkeypatch.setattr(facets if builder == "enumerate_facets" else lattice, builder, refuse)
+        monkeypatch.setattr(facets if builder == "iter_facets" else lattice, builder, refuse)
         argv = ["audit"]
         for flag in ("--m-max", "--k-max", "--n-max", "--p-max", "--cover-p-max",
                      "--cover-n-max"):
@@ -469,6 +463,15 @@ class TestAuditCommand:
         code, out, err = run(argv)
         assert (code, out) == (3, "")
         assert err.startswith("budget exceeded: chain-expression enumeration for (p=10, l=2)")
+
+    def test_face_counts_read_the_stream_not_a_list(self, monkeypatch):
+        """The audit counts each codimension's faces as they come, so it
+        never holds a whole codimension's list."""
+        def refuse(*args):
+            raise AssertionError("enumerate_facets was called")
+        monkeypatch.setattr(facets, "enumerate_facets", refuse)
+        code, out, _ = run(self.SMALL + ["--p-max", "5"])
+        assert (code, out) == (0, "audit ok\n")
 
     @pytest.mark.parametrize("flag", ["--m-max", "--k-max", "--n-max", "--p-max",
                                       "--cover-p-max", "--cover-n-max"])

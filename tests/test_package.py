@@ -161,6 +161,20 @@ def test_face_and_point_layers_import_only_errors(module):
     assert package_imports(PACKAGE / f"{module}.py") == {"errors"}
 
 
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_reads_the_environment(module):
+    """Every setting comes from arguments, so a command's records and exit
+    code depend on its argv alone."""
+    readers = [
+        ast.unparse(node) for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in ("environ", "getenv") for alias in node.names)
+    ]
+    assert readers == []
+
+
 # Recursion the guard below allows: `extend` builds set partitions of at
 # most `oracles.MAX_PARTITION_SIZE` = 10 elements, so it nests 10 deep.
 BOUNDED_RECURSION = {("oracles", "oracle_set_partitions.extend")}
