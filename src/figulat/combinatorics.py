@@ -29,17 +29,20 @@ def figurates(p: int, n: int) -> list[int]:
     """The figurate column [F^p_n, ..., F^1_n] as a new list: entry l is
     F^{p-l}_n, the points of a codimension-l face of the p-cube at side n.
     Entry 0 is `figurate(p, n)`, so a refusal is `figurate`'s, message and
-    all, with p as k; every other entry is read by `comb` in C."""
-    return [figurate(p, n), *map(comb, range(n + p - 2, n - 1, -1), range(p - 1, 0, -1))]
+    all, with p as k; each later entry is stepped from the one before by
+    F^{k-1}_n = F^k_n * k / (n+k-1), a division that is always exact."""
+    column = [figurate(p, n)]
+    for k in range(p, 1, -1):
+        column.append(column[-1] * k // (n + k - 1))
+    return column
 
 
-# Memoized only because `bench/layers.py` reads its cache_info().
-@lru_cache(maxsize=None, typed=True)
+# Stores nothing; kept only as the handle whose cache_info() `bench/layers.py` reads.
+@lru_cache(maxsize=0)
 def stirling2_recurrence(m: int, j: int) -> int:
     """Stirling number of the second kind S(m, j) = T(m, j) / j!: the
     surjection count T(m, j) is the row entry `facet_count(m, m - j)`, and
-    the division is exact. Memoized by argument type too, so a bool or a
-    float never reads the entry of an equal int."""
+    the division is exact."""
     check_integers("stirling2 requires integer arguments, got ({!r}, {!r})", m, j)
     if m < 0 or j < 0:
         raise DomainError(f"stirling2 requires nonnegative arguments, got ({m}, {j})")

@@ -61,9 +61,9 @@ def live_objects():
 @pytest.fixture
 def record_calls(monkeypatch):
     """`record_calls(run)` calls `run()` under `sys.setprofile` and counts
-    the figulat functions it calls, by 'module.qualname'. The face index,
-    the Stirling memo and the kept face-count row are emptied before each
-    run, so no call hides behind a hit that an earlier test cached.
+    the figulat functions it calls, by 'module.qualname'. The face index
+    and the kept face-count row are emptied before each run, so no call
+    hides behind a hit that an earlier test cached.
     Comprehensions and generator expressions run in frames of their own and
     are left out, since the function that made them is counted already; a
     generator counts once more each time it resumes."""
@@ -71,7 +71,6 @@ def record_calls(monkeypatch):
 
     def record(run):
         lattice._face_index.cache_clear()
-        combinatorics.stirling2_recurrence.cache_clear()
         monkeypatch.setattr(combinatorics, "_facet_row", (0, []))
         called = Counter()
 

@@ -4,6 +4,9 @@ Usage, from the root of the repository:
 
     python tests/make_cli_corpus.py
 
+It takes no arguments: given any, it prints a usage line to stderr and
+exits 2 without writing.
+
 Each case is one argv run through `figulat.cli.main` in process, stored
 with its exit code, stdout and stderr. The cases are every `table` kind,
 `facets` alone and with each flag, `verify` by each route (p <= 5 for
@@ -114,6 +117,9 @@ def changes(old, new):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:]:
+        print("usage: python tests/make_cli_corpus.py (no arguments)", file=sys.stderr)
+        sys.exit(2)
     old = json.loads(CORPUS.read_text()) if CORPUS.exists() else []
     new = [dict(zip(("argv", "code", "stdout", "stderr"), (argv, *run(argv))))
            for argv in cases()]

@@ -325,6 +325,23 @@ class TestTableCommand:
         assert values == [
             combinatorics.stirling2_inclusion_exclusion(600, j) for j in range(1, 601)]
 
+    def test_a_stirling_listing_holds_one_row_at_a_time(self):
+        """S(m, j) for m <= 150 is 11,325 values, over 2 MB if kept, but a
+        listing holds only the face-count row it reads them from: about
+        0.1 MB. The warm-up lists m = 1 only, which imports what the
+        listing needs."""
+        argv = ["table", "--kind", "stirling", "--format", "json-lines", "--m"]
+        with open(os.devnull, "w") as sink:
+            assert main(argv + ["1"], out=sink, err=sink) == 0
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(argv + ["1..150"], out=sink, err=sink) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 500_000
+
     @pytest.mark.parametrize("argv, flag", [
         (["--kind", "stirling"], "m"),
         (["--kind", "facet-counts"], "p"),
@@ -422,13 +439,7 @@ class TestAuditCommand:
             self, monkeypatch):
         real = combinatorics.facet_count
         monkeypatch.setattr(combinatorics, "facet_count", lambda p, l: 2 * real(p, l))
-        # Cleared before, so no Stirling entry answers from the true row, and
-        # after, so no doubled entry outlives the test.
-        combinatorics.stirling2_recurrence.cache_clear()
-        try:
-            code, out, err = run(self.SMALL)
-        finally:
-            combinatorics.stirling2_recurrence.cache_clear()
+        code, out, err = run(self.SMALL)
         assert code == 1
         names = [line.removeprefix("MISMATCH ").split(":")[0] for line in out.splitlines()]
         families = Counter(" ".join(w for w in name.split() if "=" not in w)
@@ -505,6 +516,15 @@ def test_readme_cli_example_runs(command):
 def test_listing_bytes_match_the_corpus(case):
     assert run(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
+
+@pytest.mark.parametrize("arg", ["--help", "extra"])
+def test_the_corpus_generator_refuses_any_argument_and_writes_nothing(arg):
+    before = CORPUS.read_bytes(), CORPUS.stat().st_mtime_ns
+    proc = subprocess.run([sys.executable, str(CORPUS.parent / "make_cli_corpus.py"), arg],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage: python tests/make_cli_corpus.py (no arguments)\n"
+    assert (CORPUS.read_bytes(), CORPUS.stat().st_mtime_ns) == before
 
 
 def test_corpus_holds_exactly_the_generated_cases():

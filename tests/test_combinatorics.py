@@ -240,7 +240,7 @@ def surjections_by_inclusion_exclusion(p, l):
 class TestSteppedFaceCountRow:
     """The surjection row T(p, .) of face counts is stepped from the row
     before it, so no depth of p reaches the recursion limit, and S(m, j) is
-    read from the same row. The verify path fills no Stirling cache."""
+    read from the same row. The verify path never asks for S(m, j)."""
 
     @pytest.fixture(autouse=True)
     def no_row(self, monkeypatch):
@@ -250,14 +250,16 @@ class TestSteppedFaceCountRow:
         assert verify_algebraic(1024, 2).ok
 
     def test_stirling_at_m1000_under_a_recursion_limit_of_200(self, recursion_limit_200):
-        stirling2_recurrence.cache_clear()
         for j in (1, 2, 500, 999, 1000):
             assert stirling2_recurrence(1000, j) == stirling2_inclusion_exclusion(1000, j)
 
-    def test_verify_fills_no_stirling_cache(self):
-        stirling2_recurrence.cache_clear()
-        assert verify_algebraic(60, 3).ok
-        assert stirling2_recurrence.cache_info().currsize == 0
+    def test_verify_never_calls_stirling2_recurrence(self, record_calls):
+        reports = []
+        called = record_calls(lambda: reports.extend(
+            verify_algebraic(p, n) for p in range(1, 61) for n in range(1, 4)))
+        assert len(reports) == 180 and all(report.ok for report in reports)
+        assert called["figulat.combinatorics.facet_count"] == 180
+        assert called["figulat.combinatorics.stirling2_recurrence"] == 0
 
     @pytest.mark.parametrize("ps", [
         [1000, 1024], [1024, 1000], [1000, 1000, 1024, 1024, 1000],
@@ -288,10 +290,12 @@ class TestRowForms:
                 surjections_by_inclusion_exclusion(p, l) for l in range(p)]
 
     def test_figurates_match_the_scalar_form_and_binomials(self):
-        for p in ROW_VISITS:
-            for n in range(1, 5):
-                assert figurates(p, n) == [figurate(p - l, n) for l in range(p)] == [
-                    comb(n + p - l - 1, p - l) for l in range(p)]
+        # And three long columns: at sides 1 and 3, as in a sweep, and 10**6.
+        cells = [(p, n) for p in ROW_VISITS for n in range(1, 5)]
+        cells += [(500, 1), (500, 3), (500, 10 ** 6)]
+        for p, n in cells:
+            assert figurates(p, n) == [figurate(p - l, n) for l in range(p)] == [
+                comb(n + p - l - 1, p - l) for l in range(p)]
 
     def test_a_caller_that_changes_the_row_changes_no_later_count(self):
         expected = {p: [surjections_by_inclusion_exclusion(p, l) for l in range(p)]
