@@ -111,6 +111,9 @@ def cmd_table(args, out, err) -> int:
     for flag in needed[args.kind]:
         if getattr(args, flag) is None:
             raise DomainError(f"table --kind {args.kind} requires --{flag}")
+    for flag in chain.from_iterable(needed.values()):
+        if flag not in needed[args.kind] and getattr(args, flag) is not None:
+            raise DomainError(f"table --kind {args.kind} does not read --{flag}")
     if args.kind == "stirling":
         records = (
             {"kind": "stirling", "symbol": f"S({m},{j})", "m": m, "j": j,
@@ -270,26 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
-    # Print exact results of any length: Python refuses by default to
-    # convert ints over 4300 digits to text.
+    out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
+    # Parse and print exact values of any length: Python refuses by default
+    # to convert ints over 4300 digits from or to text.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _main(argv, out, err)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _main(argv, out, err) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code else EXIT_OK
         code = args.func(args, out, err)
         out.flush()  # here, where a closed pipe is caught, not at shutdown
         return code
@@ -311,6 +305,8 @@ def _main(argv, out, err) -> int:
         import traceback
         traceback.print_exc(file=err)
         return EXIT_CRASH
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ cover by the group-factorization shortcut. Face membership is read off a
 point's coordinates block by block, and a surjection becomes a face by
 taking the preimage of each value. Slowness is the point; these exist to
 be obviously correct. They take and return plain values and import only
-`errors`.
+`errors`. Each scan refuses past one fixed budget, `MAX_SCAN` maps,
+tuples or expressions, and the set-partition recursion past
+`MAX_PARTITION_SIZE` elements; no oracle takes a cap.
 """
 from __future__ import annotations
 
@@ -18,24 +20,32 @@ from operator import ge
 
 from .errors import BudgetExceededError, DomainError
 
-DEFAULT_MAX_MAPS = 10 ** 7
+MAX_SCAN = 10 ** 7
 MAX_PARTITION_SIZE = 10
 
 
-def oracle_surjections(m: int, k: int, max_maps: int = DEFAULT_MAX_MAPS) -> list[tuple[int, ...]]:
+def _check_integers(template: str, *values) -> None:
+    """Raise DomainError unless every value is an int and none is a bool.
+    The message is `template` formatted with the values, each by position
+    and all as the tuple `values`; it is built only on refusal."""
+    if any(isinstance(value, bool) or not isinstance(value, int) for value in values):
+        raise DomainError(template.format(*values, values=values))
+
+
+def _check_need(required: int, budget: int, template: str, *values) -> None:
+    """Raise BudgetExceededError if `required` exceeds `budget`; the message
+    is `template` formatted with the values, built only on refusal."""
+    if required > budget:
+        raise BudgetExceededError(template.format(*values), required, budget)
+
+
+def oracle_surjections(m: int, k: int) -> list[tuple[int, ...]]:
     """The value tuples of all surjections {1..m} -> {1..k}, by filtering
     all k^m maps. Lexicographic order."""
-    if (isinstance(m, bool) or isinstance(k, bool)
-            or not isinstance(m, int) or not isinstance(k, int)):
-        raise DomainError(f"sizes must be integers, got (m={m!r}, k={k!r})")
+    _check_integers("sizes must be integers, got (m={!r}, k={!r})", m, k)
     if m < 1 or k < 1:
         raise DomainError(f"sizes must be >= 1, got (m={m}, k={k})")
-    if isinstance(max_maps, bool) or not isinstance(max_maps, int) or max_maps < 1:
-        raise DomainError(f"map cap must be an integer >= 1, got {max_maps!r}")
-    if k ** m > max_maps:
-        raise BudgetExceededError(
-            f"surjection scan for (m={m}, k={k}) exceeds the map cap", k ** m, max_maps
-        )
+    _check_need(k ** m, MAX_SCAN, "surjection scan for (m={}, k={}) exceeds the map cap", m, k)
     full_range = set(range(1, k + 1))
     return [values for values in product(range(1, k + 1), repeat=m) if set(values) == full_range]
 
@@ -43,14 +53,10 @@ def oracle_surjections(m: int, k: int, max_maps: int = DEFAULT_MAX_MAPS) -> list
 def oracle_set_partitions(m: int) -> list[tuple[tuple[int, ...], ...]]:
     """All unordered set partitions of {1..m}, blocks sorted by least
     element, indices ascending inside blocks. Canonical order."""
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise DomainError(f"size must be an integer, got {m!r}")
+    _check_integers("size must be an integer, got {!r}", m)
     if m < 0:
         raise DomainError(f"size must be >= 0, got {m}")
-    if m > MAX_PARTITION_SIZE:
-        raise BudgetExceededError(
-            "set-partition enumeration exceeds the size cap", m, MAX_PARTITION_SIZE
-        )
+    _check_need(m, MAX_PARTITION_SIZE, "set-partition enumeration exceeds the size cap")
 
     def extend(element: int, partial: tuple[tuple[int, ...], ...]):
         if element > m:
@@ -67,45 +73,27 @@ def oracle_set_partitions(m: int) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(extend(2, ((1,),)))
 
 
-def oracle_weakly_decreasing_tuples(k: int, n: int, max_points: int = DEFAULT_MAX_MAPS) -> int:
+def oracle_weakly_decreasing_tuples(k: int, n: int) -> int:
     """Count weakly decreasing k-tuples over {0..n-1} by scanning all n^k."""
-    if (isinstance(k, bool) or isinstance(n, bool)
-            or not isinstance(k, int) or not isinstance(n, int)):
-        raise DomainError(f"arguments must be integers, got (k={k!r}, n={n!r})")
+    _check_integers("arguments must be integers, got (k={!r}, n={!r})", k, n)
     if k < 1 or n < 1:
         raise DomainError(f"arguments must be >= 1, got (k={k}, n={n})")
-    if isinstance(max_points, bool) or not isinstance(max_points, int) or max_points < 1:
-        raise DomainError(f"point cap must be an integer >= 1, got {max_points!r}")
-    if n ** k > max_points:
-        raise BudgetExceededError(
-            f"tuple scan for (k={k}, n={n}) exceeds the point cap", n ** k, max_points
-        )
+    _check_need(n ** k, MAX_SCAN, "tuple scan for (k={}, n={}) exceeds the point cap", k, n)
     return sum(1 for t in product(range(n), repeat=k) if all(map(ge, t, t[1:])))
 
 
-def oracle_collapsed_faces(
-    p: int, l: int, max_expressions: int = DEFAULT_MAX_MAPS
-) -> dict[tuple[tuple[int, ...], ...], int]:
+def oracle_collapsed_faces(p: int, l: int) -> dict[tuple[tuple[int, ...], ...], int]:
     """The faces of codimension l by the paper's definition. A chain
     expression is a permutation sigma of {1..p} with ">=" or "=" between
     neighbours, l of the p-1 symbols "="; it collapses to the face whose
     blocks are its maximal "=" runs, each sorted, in chain order. Maps each
     face's blocks to the number of the p! * C(p-1, l) expressions that
     collapse to it."""
-    if (isinstance(p, bool) or isinstance(l, bool)
-            or not isinstance(p, int) or not isinstance(l, int)):
-        raise DomainError(f"arguments must be integers, got (p={p!r}, l={l!r})")
+    _check_integers("arguments must be integers, got (p={!r}, l={!r})", p, l)
     if not 0 <= l < p:
         raise DomainError(f"arguments must satisfy 0 <= l < p, got (p={p}, l={l})")
-    if (isinstance(max_expressions, bool) or not isinstance(max_expressions, int)
-            or max_expressions < 1):
-        raise DomainError(f"expression cap must be an integer >= 1, got {max_expressions!r}")
-    required = factorial(p) * comb(p - 1, l)
-    if required > max_expressions:
-        raise BudgetExceededError(
-            f"chain-expression collapse for (p={p}, l={l}) exceeds the expression cap",
-            required, max_expressions,
-        )
+    _check_need(factorial(p) * comb(p - 1, l), MAX_SCAN,
+                "chain-expression collapse for (p={}, l={}) exceeds the expression cap", p, l)
     counts: dict[tuple[tuple[int, ...], ...], int] = {}
     for sigma in permutations(range(1, p + 1)):
         # The p-1-l positions of ">=" cut sigma into its "=" runs.
@@ -134,9 +122,10 @@ def oracle_surjection_to_facet(values: tuple[int, ...]) -> tuple[tuple[int, ...]
     its values: block i is the preimage of value i. Refuses an empty map,
     a value that is not an integer, and a map that is not onto {1..k}."""
     values = tuple(values)
-    if (not values or any(isinstance(v, bool) or not isinstance(v, int) for v in values)
-            or set(values) != set(range(1, max(values) + 1))):
-        raise DomainError(f"surjection values must be integers onto 1..k, got {values}")
+    refusal = "surjection values must be integers onto 1..k, got {values}"
+    _check_integers(refusal, *values)
+    if not values or set(values) != set(range(1, max(values) + 1)):
+        raise DomainError(refusal.format(values=values))
     return tuple(tuple(i for i, v in enumerate(values, 1) if v == value)
                  for value in range(1, max(values) + 1))
 

@@ -58,6 +58,7 @@ REFUSALS = [
     "verify --p 12 --n 1",  # exit 3 after the algebraic record: no face fits the cap
     "facets --p 4 --l 1 --max-expressions 1",  # exit 3, nothing on stdout
     "table --kind stirling",  # exit 2: no --m
+    "table --kind facet-counts --p 3 --m 2",  # exit 2: --m is not read
     "facets --p 0 --l 0 --with-counts 2",  # exit 2: no dimension 0
 ]
 PARSER = [

@@ -7,6 +7,7 @@ import io
 import json
 from math import comb, factorial
 
+from figulat import oracles
 from figulat.cli import main
 from figulat.combinatorics import (
     facet_count,
@@ -103,13 +104,12 @@ def test_criterion_6_stirling_polynomial_identity():
     report(6, "falling-factorial expansion equals x^p on p in [1,12], x in [-10,10]")
 
 
-def test_criterion_7_figurate_oracle():
+def test_criterion_7_figurate_oracle(monkeypatch):
+    # the (8, 8) cell scans 8^8 tuples, just over the oracles' budget
+    monkeypatch.setattr(oracles, "MAX_SCAN", 8 ** 8)
     for k in range(1, 9):
         for n in range(1, 9):
-            # the (8, 8) cell scans 8^8 tuples, just over the default cap
-            assert figurate(k, n) == oracle_weakly_decreasing_tuples(
-                k, n, max_points=8 ** 8
-            )
+            assert figurate(k, n) == oracle_weakly_decreasing_tuples(k, n)
     for p in range(1, 6):
         for l in range(p):
             for face in enumerate_facets(p, l):

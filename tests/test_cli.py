@@ -204,9 +204,12 @@ def test_results_over_4300_digits_print_exactly(fmt, default_int_digit_limit):
 
 
 def test_main_restores_the_int_digit_limit(default_int_digit_limit, monkeypatch):
-    """`main` lifts the limit only while it runs, however it exits."""
+    """`main` lifts the limit only while it runs, parsing included, however
+    it exits."""
     limit = sys.get_int_max_str_digits()
     assert run(["verify", "--p", "400", "--n", str(10 ** 12), "--route", "algebraic"])[0] == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert run(["verify", "--p", "1", "--n", "1" + "0" * 4400, "--route", "algebraic"])[0] == 0
     assert sys.get_int_max_str_digits() == limit
     assert run(["verify", "--p", "0", "--n", "1"])[0] == 2
     assert sys.get_int_max_str_digits() == limit
@@ -316,7 +319,7 @@ def test_a_reader_gone_before_the_first_write_is_no_crash(unbuffered):
 
 
 class TestTableCommand:
-    def test_stirling_row_past_the_recursion_limit(self):
+    def test_stirling_row_600_matches_inclusion_exclusion(self):
         code, out, _ = run([
             "table", "--kind", "stirling", "--m", "600", "--format", "json-lines",
         ])

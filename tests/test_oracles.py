@@ -1,9 +1,14 @@
-import pytest
+import ast
+import inspect
 
+import pytest
+from test_package import PACKAGE, bool_checks
+
+from figulat import oracles
 from figulat.errors import BudgetExceededError, DomainError
 from figulat.lattice import cube_points, point_multiplicity
 from figulat.oracles import (
-    DEFAULT_MAX_MAPS,
+    MAX_SCAN,
     oracle_collapsed_faces,
     oracle_facet_contains,
     oracle_set_partitions,
@@ -74,9 +79,10 @@ class TestOracleWeaklyDecreasing:
         with pytest.raises(DomainError):
             oracle_weakly_decreasing_tuples(0, 3)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_SCAN", 26)
         with pytest.raises(BudgetExceededError, match="needs 27, budget is 26"):
-            oracle_weakly_decreasing_tuples(3, 3, max_points=26)
+            oracle_weakly_decreasing_tuples(3, 3)
 
 
 class TestOracleCollapsedFaces:
@@ -86,15 +92,17 @@ class TestOracleCollapsedFaces:
         assert all(type(blocks) is tuple and all(type(b) is tuple for b in blocks)
                    for blocks in faces)
 
-    def test_cap_counts_every_expression(self):
+    def test_cap_counts_every_expression(self, monkeypatch):
         # p=5, l=2: 5! * C(4, 2) = 720 expressions
-        assert sum(oracle_collapsed_faces(5, 2, max_expressions=720).values()) == 720
+        monkeypatch.setattr(oracles, "MAX_SCAN", 720)
+        assert sum(oracle_collapsed_faces(5, 2).values()) == 720
+        monkeypatch.setattr(oracles, "MAX_SCAN", 719)
         with pytest.raises(BudgetExceededError, match=r"\(p=5, l=2\).*needs 720, budget is 719"):
-            oracle_collapsed_faces(5, 2, max_expressions=719)
+            oracle_collapsed_faces(5, 2)
 
     def test_default_cap_refuses_p_9(self):
         # 9! * C(8, 4) = 25,401,600 expressions at l=4
-        with pytest.raises(BudgetExceededError, match=f"budget is {DEFAULT_MAX_MAPS}$"):
+        with pytest.raises(BudgetExceededError, match=f"budget is {MAX_SCAN}$"):
             oracle_collapsed_faces(9, 4)
 
     @pytest.mark.parametrize("p,l", [(0, 0), (-1, 0), (3, 3), (3, -1)])
@@ -103,15 +111,26 @@ class TestOracleCollapsedFaces:
             oracle_collapsed_faces(p, l)
 
 
-@pytest.mark.parametrize("oracle, args, cap", [
-    (oracle_surjections, (2, 2), "map"),
-    (oracle_weakly_decreasing_tuples, (2, 2), "point"),
-    (oracle_collapsed_faces, (3, 1), "expression"),
-])
-@pytest.mark.parametrize("value", [True, 0, -5, 2.0, "x", None])
-def test_oracles_refuse_a_cap_that_is_not_a_positive_integer(oracle, args, cap, value):
-    with pytest.raises(DomainError, match=f"^{cap} cap must be an integer >= 1"):
-        oracle(*args, value)
+DATA_ARGUMENTS = {
+    "oracle_surjections": ["m", "k"],
+    "oracle_set_partitions": ["m"],
+    "oracle_weakly_decreasing_tuples": ["k", "n"],
+    "oracle_collapsed_faces": ["p", "l"],
+    "oracle_facet_contains": ["blocks", "coords"],
+    "oracle_surjection_to_facet": ["values"],
+    "oracle_signed_cover": ["point"],
+}
+
+
+def test_the_oracles_take_only_data_and_refuse_in_one_place_each():
+    """No oracle takes a cap: each scan refuses past the one `MAX_SCAN`.
+    One helper tests for bools and one raises every refusal of a need."""
+    assert {name: list(inspect.signature(oracle).parameters)
+            for name, oracle in vars(oracles).items()
+            if name.startswith("oracle_")} == DATA_ARGUMENTS
+    source = (PACKAGE / "oracles.py").read_text()
+    assert len(bool_checks(ast.parse(source))) == 1
+    assert source.count("raise BudgetExceededError") == 1
 
 
 @pytest.mark.parametrize("oracle,args,position", [
