@@ -111,6 +111,32 @@ class TestOracleCollapsedFaces:
             oracle_collapsed_faces(p, l)
 
 
+@pytest.mark.parametrize("oracle, args, need, template", [
+    *[pytest.param(oracle_surjections, (m, k), k ** m,
+                   f"surjection scan for (m={m}, k={k}) exceeds the map cap",
+                   id=f"surjections-{m}-{k}")
+      for m, k in [(1, 1), (2, 2), (3, 2), (2, 3), (5, 2), (4, 3)]],
+    *[pytest.param(oracle_weakly_decreasing_tuples, (k, n), n ** k,
+                   f"tuple scan for (k={k}, n={n}) exceeds the point cap",
+                   id=f"tuples-{k}-{n}")
+      for k, n in [(1, 1), (1, 7), (2, 4), (4, 2), (3, 3), (5, 3)]],
+    *[pytest.param(oracle_collapsed_faces, (p, l), need,
+                   f"chain-expression collapse for (p={p}, l={l}) exceeds the expression cap",
+                   id=f"collapsed-{p}-{l}")
+      for p, l, need in [(1, 0, 1), (2, 0, 2), (2, 1, 2), (3, 1, 12), (4, 2, 72), (5, 2, 720)]],
+])
+def test_each_scan_runs_at_its_need_and_refuses_one_below(monkeypatch, oracle, args, need, template):
+    """Every scan reads `MAX_SCAN` when called: a budget equal to the scan's
+    need is enough, one less is refused with the exact message."""
+    monkeypatch.setattr(oracles, "MAX_SCAN", need)
+    oracle(*args)
+    monkeypatch.setattr(oracles, "MAX_SCAN", need - 1)
+    with pytest.raises(BudgetExceededError) as refusal:
+        oracle(*args)
+    assert str(refusal.value) == f"{template}: needs {need}, budget is {need - 1}"
+    assert (refusal.value.required, refusal.value.budget) == (need, need - 1)
+
+
 DATA_ARGUMENTS = {
     "oracle_surjections": ["m", "k"],
     "oracle_set_partitions": ["m"],
