@@ -14,44 +14,18 @@ cap bounds that same count; `errors`, the one package module imported here,
 checks it before any face is built.
 
 Faces are immutable named tuples that compare and hash like their bare
-tuples, as the verifier's reports do. A direct call checks its arguments,
-integer entries included, and stores each sequence as a tuple; `_replace`
-checks through the same call. The package's generators build with
-`tuple.__new__`, which skips the checks.
+tuples, as the verifier's reports do.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, combinations, repeat
 
-from .errors import DEFAULT_MAX_EXPRESSIONS, DomainError, _check_enumeration_budget, check_integers
+from .errors import DEFAULT_MAX_EXPRESSIONS, _check_enumeration_budget
 
 
 class OrderedSetPartition(namedtuple("OrderedSetPartition", "blocks")):
     __slots__ = ()
-
-    def __new__(cls, blocks: tuple[tuple[int, ...], ...]):
-        blocks = tuple(map(tuple, blocks))
-        indices = tuple(chain.from_iterable(blocks))
-        check_integers("block indices must be integers, got {values}", *indices)
-        if not blocks:
-            raise DomainError("a face must have at least one block")
-        for block in blocks:
-            if not block:
-                raise DomainError("blocks must be nonempty")
-            if list(block) != sorted(block):
-                raise DomainError(f"block indices must ascend, got {block}")
-        seen = set(indices)
-        if len(seen) != len(indices):
-            raise DomainError("blocks must be pairwise disjoint")
-        if seen != set(range(1, len(seen) + 1)):
-            raise DomainError(f"blocks must cover 1..p exactly, got {sorted(seen)}")
-        return tuple.__new__(cls, (blocks,))
-
-    @classmethod
-    def _make(cls, iterable):
-        """Build through the validating constructor, so `_replace` checks."""
-        return cls(*iterable)
 
     @property
     def num_blocks(self) -> int:

@@ -7,8 +7,7 @@ algebraic route shares nothing but argument validation with the other
 routes, the geometric and pointwise routes share only the budget checks
 of `figulat.errors` (the expression budget of every codimension, and the
 check of a cap and of a need against it), and each oracle calls only its
-own module. Value-type constructors are allowed in the routes only; the
-oracles build no value of the package.
+own module.
 """
 import pytest
 
@@ -27,16 +26,12 @@ BUDGET = {
 }
 
 
-def is_constructor(name):
-    return name.endswith(".__new__")
-
-
 def route_calls(route, record_calls):
-    """The functions a route calls, value-type constructors left out."""
+    """The functions a route calls."""
     def run():
         for p, n in CELLS:
             assert route(p, n).ok is True
-    return {name for name in record_calls(run) if not is_constructor(name)}
+    return set(record_calls(run))
 
 
 @pytest.fixture

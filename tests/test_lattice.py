@@ -217,17 +217,6 @@ class TestCubePoints:
                     assert all(type(c) is int and 0 <= c < n for c in q)
 
 
-def test_generators_skip_the_face_validator(count_validations):
-    faces = count_validations(OrderedSetPartition)
-    for l in range(6):
-        for f in enumerate_facets(6, l):
-            for _ in enumerate_points(f, 2):
-                pass
-    assert faces == []
-    OrderedSetPartition(((1,),))
-    assert len(faces) == 1
-
-
 class TestPointMultiplicity:
     def test_hand_checked_pairs(self):
         assert point_multiplicity((1, 0)) == 1

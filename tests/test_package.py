@@ -5,16 +5,21 @@ load (no probe may load `typing`, `json`, `csv`, `dataclasses` or
 `inspect`). Only the algebraic route and the CLI reach the closed forms
 (and neither computes one of its own), and the oracles reach nothing of
 the package but its errors. Every function outside the oracles is run by
-a README command, and one function holds the bool-and-integer check."""
+a README command, no class writes a constructor of its own, one function
+holds the bool-and-integer check, and the console script resolves to the
+CLI's `main`."""
 import ast
 import inspect
 import io
 import os
 import subprocess
 import sys
-from collections import Counter
+import tomllib
+from collections import Counter, namedtuple
 from importlib import import_module
+from importlib.metadata import EntryPoint
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -245,21 +250,13 @@ COMMANDS = [
     "audit --m-max 3 --k-max 3 --n-max 3 --p-max 3 --cover-p-max 2 --cover-n-max 2",
 ]
 REFUSALS = ["facets --p 4 --l 1 --max-expressions 1", "verify --p 3 --n 3 --max-points 8"]
-# The face's validating constructor is public library API that no command
-# builds through: the generators build faces with `tuple.__new__`, since
-# what they build is valid by construction.
-NOT_RUN_BY_A_COMMAND = {"figulat.facets.OrderedSetPartition.__new__"}
 
 
 def module_functions(module):
     """The functions `module` defines at its top level, a cached one by
-    the function it wraps, and the constructors its classes define, as
-    'module.qualname'."""
+    the function it wraps, as 'module.qualname'."""
     found = set()
-    for value in vars(module).values():
-        value = inspect.unwrap(value)
-        if inspect.isclass(value):
-            value = getattr(vars(value).get("__new__"), "__func__", None)
+    for value in map(inspect.unwrap, vars(module).values()):
         if inspect.isfunction(value) and value.__module__ == module.__name__:
             found.add(f"{module.__name__}.{value.__qualname__}")
     return found
@@ -275,7 +272,54 @@ def test_every_function_outside_the_oracles_is_run_by_a_command(record_calls):
         module_functions(import_module(f"figulat.{name}"))
         for name in MODULES - {"oracles", "__init__"}
     ))
-    assert defined - run.keys() == NOT_RUN_BY_A_COMMAND
+    assert defined <= run.keys()
+
+
+def written_constructors(module):
+    """'module.Class.name' for each `__new__` or `_make` in the own
+    `vars()` of a class that `module` defines, if its code is in the
+    package's source; those that `namedtuple` generates are not."""
+    found = set()
+    for cls in vars(module).values():
+        if inspect.isclass(cls) and cls.__module__ == module.__name__:
+            for name in ("__new__", "_make"):
+                value = vars(cls).get(name)
+                code = getattr(getattr(value, "__func__", value), "__code__", None)
+                if code is not None and Path(code.co_filename).resolve().parent == PACKAGE:
+                    found.add(f"{module.__name__}.{cls.__qualname__}.{name}")
+    return found
+
+
+def test_no_class_writes_its_own_constructor():
+    """A value is built one way, as its plain named tuple: by the
+    constructor `namedtuple` generates, or by `tuple.__new__` in C."""
+    assert set().union(*(
+        written_constructors(import_module(f"figulat.{name}")) for name in MODULES - {"__init__"}
+    )) == set()
+
+
+@pytest.mark.parametrize("source,names", [
+    ("class Face(namedtuple('Face', 'blocks')):\n"
+     "    def __new__(cls, blocks): return tuple.__new__(cls, (blocks,))", {"__new__"}),
+    ("class Face(namedtuple('Face', 'blocks')):\n"
+     "    _make = classmethod(lambda cls, iterable: cls(*iterable))", {"_make"}),
+    ("Face = namedtuple('Face', 'blocks')", set()),
+], ids=["written-new", "written-make", "generated"])
+def test_the_constructor_guard_names_exactly_the_written_ones(source, names):
+    """A probe module compiled as if from a file of the package."""
+    module = ModuleType("figulat.probe")
+    module.namedtuple = namedtuple
+    exec(compile(source, str(PACKAGE / "probe.py"), "exec"), vars(module))
+    assert written_constructors(module) == {f"figulat.probe.Face.{name}" for name in names}
+
+
+def test_the_console_script_resolves_to_the_cli_main():
+    """`[project.scripts]` is read only by an install, so a misspelt
+    target would break the `figulat` command and nothing else."""
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as file:
+        scripts = tomllib.load(file)["project"]["scripts"]
+    assert scripts.keys() == {"figulat"}
+    assert EntryPoint("figulat", scripts["figulat"], "console_scripts").load() is main
 
 
 def bool_checks(tree, prefix=""):

@@ -1,10 +1,10 @@
 """Properties of the face value type and the lattice layer on drawn inputs.
 
 The exhaustive tests stop at p <= 5-7; these draw faces of {1..p} for
-p <= 12 and points of the cube [0, n-1]^p. The face constructor, the
-coordinate check of `point_multiplicity` and the oracle that turns a
-surjection into a face are each compared with a predicate written here,
-independent of the package.
+p <= 12 and points of the cube [0, n-1]^p. The coordinate check of
+`point_multiplicity` and the oracle that turns a surjection into a face
+are each compared with a predicate written here, independent of the
+package.
 """
 from itertools import compress
 
@@ -105,17 +105,6 @@ def is_integer(value):
     return type(value) is int
 
 
-def valid_face(blocks):
-    indices = [i for block in blocks for i in block]
-    return (
-        len(blocks) > 0
-        and all(len(block) > 0 for block in blocks)
-        and all(map(is_integer, indices))
-        and all(a < b for block in blocks for a, b in zip(block, block[1:]))
-        and sorted(indices) == list(range(1, len(indices) + 1))
-    )
-
-
 def valid_surjection(values):
     return (
         len(values) > 0
@@ -132,12 +121,6 @@ NOT_INTEGERS = st.sampled_from([True, False, 1.0, 2.0])
 # True once in four draws: each way to break an input is drawn rarely, so
 # that valid inputs are drawn often.
 rarely = st.integers(0, 3).map(lambda i: i == 0)
-# Permutations of 1..m, which are valid index lists, and lists of small
-# integers, which mostly are not.
-index_lists = st.one_of(
-    st.integers(0, 6).flatmap(lambda m: st.permutations(range(1, m + 1))),
-    st.lists(st.integers(-1, 6), max_size=6),
-)
 
 
 @st.composite
@@ -150,33 +133,9 @@ def spoiled(draw, lists):
     return values
 
 
-@st.composite
-def face_blocks(draw):
-    """An index list cut into blocks, some of them empty when two cuts
-    meet, each block sorted unless drawn otherwise; rarely no block."""
-    indices = draw(spoiled(index_lists))
-    cuts = sorted(draw(st.lists(st.integers(0, len(indices)), max_size=3)))
-    blocks = [indices[a:b] for a, b in zip([0] + cuts, cuts + [len(indices)])]
-    if not draw(rarely):
-        blocks = [sorted(block) for block in blocks]
-    return [] if draw(rarely) else blocks
-
-
 surjection_arguments = st.tuples(spoiled(st.one_of(
     surjections(), st.lists(st.integers(-1, 5), max_size=6)
 )))
-
-
-@given(face_blocks())
-def test_constructor_accepts_exactly_the_valid_inputs(blocks):
-    try:
-        value = OrderedSetPartition(blocks)
-    except DomainError:
-        assert not valid_face(blocks)
-        return
-    assert valid_face(blocks)
-    assert OrderedSetPartition(*value) == value and OrderedSetPartition._make(value) == value
-    assert hash(OrderedSetPartition(*value)) == hash(value)
 
 
 @given(spoiled(st.lists(st.integers(-2, 5), max_size=5)))
@@ -194,12 +153,12 @@ def test_point_multiplicity_accepts_exactly_the_integer_points(coords):
 
 @given(surjection_arguments)
 def test_surjection_oracle_accepts_exactly_the_valid_maps(args):
-    """The oracle is the one way a map becomes a face, so it is held to the
-    same test as the constructors, and the blocks it returns build a face."""
+    """The oracle is the one way a map becomes a face, and the face its
+    blocks make maps back to the same values."""
     try:
         blocks = oracle_surjection_to_facet(*args)
     except DomainError:
         assert not valid_surjection(*args)
         return
     assert valid_surjection(*args)
-    assert OrderedSetPartition(blocks).blocks == blocks
+    assert facet_to_surjection(OrderedSetPartition(blocks)) == tuple(*args)
