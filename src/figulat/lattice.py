@@ -74,6 +74,14 @@ def _lacked(point: tuple[int, ...]) -> list[bool]:
     return [a < b for a in point for b in point]
 
 
+def _join(segments: list[tuple[int, int]]) -> int:
+    """The (bits, width) segments as one int, the first highest, neighbours joined pass by pass."""
+    while len(segments) > 1:
+        segments = [(high << width | low, high_width + width) for (high, high_width), (low, width)
+                    in zip(segments[::2], segments[1::2] + [(0, 0)])]
+    return segments[0][0]
+
+
 @lru_cache(maxsize=1, typed=True)
 def _face_index(
     p: int, max_expressions: int
@@ -90,11 +98,19 @@ def _face_index(
     k-1 blocks. Block values weakly decrease, so segment by segment the
     set of a pair (a, b) is all ones if a is in B, all zeros if only b is,
     and otherwise the sub-face's set of the pair's relabelled indices.
+    The diagonal sets, r = i*p + i, are 0: every face forces x_i >= x_i,
+    but no point lacks it, so `_lacked` never picks them.
 
     Cached for the last p and expression cap only, since sweeps run
     p-major. Typed, so that a bool cap never reads the entry of an int one
     and skips the cap's check."""
     check_every_codimension(p, max_expressions)
+    # Each s's first blocks in reverse order, so that the join puts face 0
+    # at bit 0, each with the ranks of the indices among those outside it.
+    firsts = {s: sorted(((first, [a - sum(i < a for i in first) for a in range(s)])
+                         for size in range(1, s + 1) for first in combinations(range(s), size)),
+                        reverse=True)
+              for s in range(1, p + 1)}
     # below[s]: the count of the faces of s indices in k-1 blocks, and
     # their sets, by relation a*s + b on indices 0..s-1.
     below = {0: (1, [])}
@@ -102,20 +118,14 @@ def _face_index(
     for k in range(1, p + 1):
         level = {}
         for s in range(k, p + 1):
-            # (first block, its sub-faces' count and sets), first blocks in
-            # reverse order, so that int(..., 2) puts face 0 at bit 0.
-            parts = sorted(
-                ((first, *below[s - size]) for size in range(1, s - k + 2) if s - size in below
-                 for first in combinations(range(s), size)),
-                reverse=True,
-            )
-            ranks = [[a - sum(i < a for i in first) for a in range(s)] for first, _, _ in parts]
-            level[s] = sum(count for _, count, _ in parts), [
-                int("".join([
-                    "1" * count if a in first else "0" * count if b in first
-                    else format(sub[rank[a] * (s - len(first)) + rank[b]], f"0{count}b")
-                    for (first, count, sub), rank in zip(parts, ranks)
-                ]), 2)
+            parts = [(first, rank, *below[s - len(first)])
+                     for first, rank in firsts[s] if s - len(first) in below]
+            level[s] = sum(count for _, _, count, _ in parts), [
+                0 if a == b else _join([
+                    ((1 << count) - 1 if a in first else 0 if b in first
+                     else sub[rank[a] * (s - len(first)) + rank[b]], count)
+                    for first, rank, count, sub in parts
+                ])
                 for a in range(s) for b in range(s)
             ]
         # Codimension p-k goes below the ones already folded in.

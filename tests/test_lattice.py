@@ -1,7 +1,7 @@
 import sys
 import tracemalloc
 from collections import Counter, defaultdict
-from itertools import compress, product
+from itertools import accumulate, compress, product
 from math import comb
 
 import pytest
@@ -306,19 +306,63 @@ class TestFaceRelationIndex:
             assert all(faces_of >> start == 0 for faces_of in sets)
 
     def test_index_bits_are_the_per_face_encoding(self):
-        """Bit f of the set of relation r is entry r of the relations face f
-        forces, read off its surjection, which `test_properties` checks
-        against the oracle."""
-        for p in range(1, 8):
+        """Off the diagonal, bit f of the set of relation r is entry r of
+        the relations face f forces, read off its surjection, which
+        `test_properties` checks against the oracle. p=1 has no relation
+        off the diagonal."""
+        for p in range(2, 8):
             sets, spans = lattice._face_index(p, DEFAULT_MAX_EXPRESSIONS)
             total = sum(count for _, count in spans)
+            off = [r // p != r % p for r in range(p * p)]
             # Each set read once, as its digits from bit 0 up; column f is
-            # face f's entry for each relation.
-            digits = [format(faces_of, f"0{total}b")[::-1] for faces_of in sets]
+            # face f's entry for each relation off the diagonal.
+            digits = [format(faces_of, f"0{total}b")[::-1] for faces_of in compress(sets, off)]
             read = [[digit == "1" for digit in column] for column in zip(*digits)]
             for l, (start, count) in enumerate(spans):
                 faces = enumerate_facets(p, l)
-                assert read[start:start + count] == [forced(face) for face in faces]
+                assert read[start:start + count] == [
+                    list(compress(forced(face), off)) for face in faces]
+
+    def test_diagonal_sets_are_zero(self):
+        """Every face forces x_i >= x_i, but no point lacks it (see
+        `test_properties`), so the index stores 0 for each r = i*p + i."""
+        for p in range(1, 8):
+            sets, _ = lattice._face_index(p, DEFAULT_MAX_EXPRESSIONS)
+            assert [sets[i * p + i] for i in range(p)] == [0] * p
+
+    @pytest.mark.parametrize("p", [8, 9])
+    def test_containing_counts_are_products_over_level_sets(self, p):
+        """A face contains a point iff each block lies in one set of equal
+        coordinates and the blocks come in decreasing order of value. So
+        the faces of p-l blocks through the point are the coefficient of
+        t^(p-l) in the product, over the point's level sets of sizes g, of
+        sum_j c(g, g-j) t^j, where c(g, g-j) counts the maps of g indices
+        onto j blocks. Each span counts the faces of its codimension."""
+        def onto(g, j):
+            return sum((-1) ** i * comb(j, i) * (j - i) ** g for i in range(j + 1))
+
+        points = [
+            (0,) * p, tuple(range(p, 0, -1)), (5,) * (p - 1) + (2,),
+            tuple(i % 2 for i in range(p)), tuple(i * 7 % 3 for i in range(p)),
+            tuple(min(i, 3) for i in range(p))[::-1], (-1, 4, 4, 0, -1, 4, 0, 4, 9)[:p],
+        ]
+        try:
+            _, spans = lattice._face_index(p, DEFAULT_MAX_EXPRESSIONS)
+            counts = [facet_count(p, l) for l in range(p)]
+            assert spans == tuple(zip(accumulate(counts, initial=0), counts))
+            for point in points:
+                by_blocks = [1]
+                for g in Counter(point).values():
+                    times_level = [0] * (len(by_blocks) + g)
+                    for i, faces in enumerate(by_blocks):
+                        for j in range(1, g + 1):
+                            times_level[i + j] += faces * onto(g, j)
+                    by_blocks = times_level
+                expected = [by_blocks[p - l] for l in range(p)]
+                assert lattice._containing_counts(point, DEFAULT_MAX_EXPRESSIONS) == expected
+        finally:
+            # The p=9 index holds about 60 MB; drop it.
+            lattice._face_index.cache_clear()
 
     def test_containing_counts_are_the_geometric_terms(self):
         """Summed over the cube, the codimension-l faces that contain each

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from figulat.combinatorics import figurate
 from figulat.errors import DomainError
 from figulat.facets import OrderedSetPartition, facet_to_surjection
-from figulat.lattice import _lacked, enumerate_points, point_multiplicity
+from figulat.lattice import _join, _lacked, enumerate_points, point_multiplicity
 from figulat.oracles import oracle_facet_contains, oracle_surjection_to_facet
 
 MAX_P = 12
@@ -99,6 +99,23 @@ def test_relation_test_matches_the_membership_oracle(drawn):
     s = facet_to_surjection(face)
     forced = [sa <= sb for sa in s for sb in s]
     assert (not any(compress(forced, _lacked(point)))) == contained
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=MAX_P))
+def test_no_point_lacks_a_diagonal_relation(point):
+    p = len(point)
+    lacked = _lacked(tuple(point))
+    assert not any(lacked[i * p + i] for i in range(p))
+
+
+@given(st.lists(st.integers(1, 70), min_size=1, max_size=40).flatmap(
+    lambda widths: st.tuples(*[st.tuples(st.integers(0, (1 << w) - 1), st.just(w))
+                               for w in widths])))
+def test_join_writes_the_segments_side_by_side(segments):
+    """The face index joins (bits, width) segments, the first highest, as
+    this text form would, for any count of them, odd ones included."""
+    text = "".join(format(value, f"0{width}b") for value, width in segments)
+    assert _join(list(segments)) == int(text, 2)
 
 
 def is_integer(value):
