@@ -1,6 +1,7 @@
 import gc
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -36,6 +37,23 @@ def live_objects():
     held = OrderedSetPartition(((1,),))
     assert any(o is held for o in live(OrderedSetPartition))
     return live
+
+
+@pytest.fixture
+def traced_peak():
+    """`traced_peak(run)` calls `run()` and returns the peak of the memory
+    that `tracemalloc` traced while it ran. A full collection comes first,
+    so garbage from earlier work is not freed inside the trace. Each test
+    runs its own warm-up before, and keeps its own bound."""
+    def peak(run):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture

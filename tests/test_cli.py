@@ -1,12 +1,10 @@
 import csv
-import gc
 import io
 import json
 import os
 import shlex
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -221,7 +219,7 @@ def test_main_restores_the_int_digit_limit(default_int_digit_limit, monkeypatch)
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_a_sweep_holds_one_report_at_a_time():
+def test_a_sweep_holds_one_report_at_a_time(traced_peak):
     """A two-cell sweep peaks at about the memory of one cell: each report,
     with its terms, is dropped before the next cell is computed. At p=100
     one report holds 100 terms of up to 500 digits; two alive at once peak
@@ -231,17 +229,14 @@ def test_a_sweep_holds_one_report_at_a_time():
     run(argv + [str(n)])  # steps the kept face-count row to p
 
     def peak(cells):
-        tracemalloc.start()
-        try:
+        def sweep():
             assert run(argv + [cells])[0] == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(sweep)
     assert peak(f"{n}..{n + 1}") < 1.3 * peak(str(n))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
-def test_a_streamed_listing_does_not_grow_with_its_length(fmt):
+def test_a_streamed_listing_does_not_grow_with_its_length(fmt, traced_peak):
     """json-lines and csv write each record as it is made, and a face
     listing builds each face as its record is made, so a listing several
     times as long peaks at about the same memory. What a face listing does
@@ -257,13 +252,9 @@ def test_a_streamed_listing_does_not_grow_with_its_length(fmt):
     ]
     with open(os.devnull, "w") as sink:
         def peak(argv):
-            gc.collect()
-            tracemalloc.start()
-            try:
+            def listing():
                 assert main(argv, out=sink, err=sink) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(listing)
         for argv, short, long in listings:
             peak(argv + [short])  # imports the writer and the command's layers
             assert peak(argv + [long]) < 1.2 * peak(argv + [short]), argv
@@ -328,7 +319,7 @@ class TestTableCommand:
         assert values == [
             combinatorics.stirling2_inclusion_exclusion(600, j) for j in range(1, 601)]
 
-    def test_a_stirling_listing_holds_one_row_at_a_time(self):
+    def test_a_stirling_listing_holds_one_row_at_a_time(self, traced_peak):
         """S(m, j) for m <= 150 is 11,325 values, over 2 MB if kept, but a
         listing holds only the face-count row it reads them from: about
         0.1 MB. The warm-up lists m = 1 only, which imports what the
@@ -336,14 +327,10 @@ class TestTableCommand:
         argv = ["table", "--kind", "stirling", "--format", "json-lines", "--m"]
         with open(os.devnull, "w") as sink:
             assert main(argv + ["1"], out=sink, err=sink) == 0
-            gc.collect()
-            tracemalloc.start()
-            try:
+
+            def listing():
                 assert main(argv + ["1..150"], out=sink, err=sink) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < 500_000
+            assert traced_peak(listing) < 500_000
 
     @pytest.mark.parametrize("argv, flag", [
         (["--kind", "stirling"], "m"),
@@ -426,6 +413,14 @@ class TestAuditCommand:
             for k in (1, 2) for n in (1, 2)
         ]
         assert err == "audit failed: 4 mismatches\n"
+        # The Stirling pairings start at m = 0.
+        monkeypatch.undo()
+        real = combinatorics.stirling2_inclusion_exclusion
+        monkeypatch.setattr(combinatorics, "stirling2_inclusion_exclusion",
+                            lambda m, j: real(m, j) + 1)
+        code, out, err = run(self.SMALL)
+        assert (code, err) == (1, "audit failed: 4 mismatches\n")
+        assert out.splitlines()[0] == "MISMATCH stirling m=0 j=1: computed 0, oracle 1"
 
     def test_a_signed_cover_mismatch_names_its_point_by_its_coordinates(self, monkeypatch):
         monkeypatch.setattr(oracles, "oracle_signed_cover", lambda point: 0)

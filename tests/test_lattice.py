@@ -1,5 +1,4 @@
 import sys
-import tracemalloc
 from collections import Counter, defaultdict
 from itertools import accumulate, compress, product
 from math import comb
@@ -439,19 +438,16 @@ class TestFaceRelationIndex:
         assert verify_pointwise(6, 2).ok is True
         assert len(live_objects(OrderedSetPartition)) <= before
 
-    def test_index_build_holds_no_face_list(self):
+    def test_index_build_holds_no_face_list(self, traced_peak):
         """The traced peak of a p=7 build stays under three times the size
         of the sets it returns; a list of the faces of one codimension
         would take more. A p=6 build first, so one-off allocations are not
         counted."""
         lattice._face_index.__wrapped__(6, DEFAULT_MAX_EXPRESSIONS)
-        tracemalloc.start()
-        try:
-            sets, _ = lattice._face_index.__wrapped__(7, DEFAULT_MAX_EXPRESSIONS)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * sum(map(sys.getsizeof, sets))
+        built = []
+        peak = traced_peak(lambda: built.append(
+            lattice._face_index.__wrapped__(7, DEFAULT_MAX_EXPRESSIONS)))
+        assert peak < 3 * sum(map(sys.getsizeof, built[0][0]))
 
     def test_every_expression_cap_is_checked_before_any_face(self, monkeypatch):
         # p=5 needs 120, 480 and 720 expressions for l = 0, 1, 2.
