@@ -27,9 +27,9 @@ runs on each mutant, one run per CPU at a time, each with a `TMPDIR` of
 its own, and a run is stopped after three times the unmutated suite's
 wall time. A mutant is killed when a test fails or errors, or when its
 run times out. The failing test ids of each mutant go to
-`figulat-mutate/matrix.json` under the temp dir, and killed / total is
-printed for each module. Standard library only; pytest does not collect
-this file.
+`figulat-mutate/matrix.json` under the temp dir, killed / total is
+printed for each module, and then each mutant that only tests under
+`bench/` kill. Standard library only; pytest does not collect this file.
 """
 import ast
 import copy
@@ -149,6 +149,13 @@ def _killers(output: str, tests: list[str]) -> list[str]:
     return sorted(killers)
 
 
+def killed_only_in_bench(rows):
+    """The matrix rows of the mutants that some test kills and that no test
+    outside `bench/` kills."""
+    return [row for row in rows
+            if row["killed_by"] and all(t.startswith("bench/") for t in row["killed_by"])]
+
+
 def _run(tree: Path, scratch: Path, timeout: float | None):
     """Run the tier-1 command in `tree` with `scratch` as its temp dir.
     Returns (exit code or None on timeout, output, wall seconds)."""
@@ -229,6 +236,9 @@ def main() -> int:
     for module in MODULES:
         rows = [r for r in results if r["module"] == module]
         print(f"{module}: {sum(r['killed'] for r in rows)}/{len(rows)} killed")
+    for row in killed_only_in_bench(results):
+        print(f"killed only in bench/: {row['module']}:{row['line']} {row['kind']} "
+              f"{row['change']} by {', '.join(row['killed_by'])}")
     print(f"matrix: {matrix}")
     return 0
 

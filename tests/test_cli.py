@@ -19,17 +19,6 @@ CASES = json.loads(CORPUS.read_text())
 
 
 class TestVerifyCommand:
-    def test_algebraic_sweep_ok(self):
-        code, out, err = run([
-            "verify", "--p", "1..4", "--n", "1..3",
-            "--route", "algebraic", "--format", "json-lines",
-        ])
-        assert code == 0
-        records = [json.loads(line) for line in out.splitlines()]
-        assert len(records) == 12
-        assert all(r["ok"] for r in records)
-        assert all(r["schema"] == "1" for r in records)
-
     def test_all_routes_single_cell(self):
         code, out, _ = run([
             "verify", "--p", "2..2", "--n", "2..2",

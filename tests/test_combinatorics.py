@@ -5,7 +5,6 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
 
 from figulat import combinatorics
 from figulat.combinatorics import (
@@ -70,11 +69,6 @@ class TestStirling:
         for p in range(1, 15):
             assert stirling2_recurrence(p, p) == 1
             assert stirling2_recurrence(p, 1) == 1
-
-    def test_two_routes_agree(self):
-        for m in range(0, 13):
-            for j in range(1, m + 1):
-                assert stirling2_recurrence(m, j) == stirling2_inclusion_exclusion(m, j)
 
     def test_inclusion_exclusion_values(self):
         assert stirling2_inclusion_exclusion(4, 2) == 7
@@ -169,29 +163,6 @@ class TestFacetCount:
                 factorial(p - l) * stirling2_inclusion_exclusion(p, p - l)
                 for l in range(p)
             ]
-
-
-def falling_factorial_sum(p, x):
-    """sum_{j=1}^{p} S(p,j) * x(x-1)...(x-j+1), which equals x^p."""
-    total, falling = 0, 1
-    for j in range(1, p + 1):
-        falling *= x - j + 1
-        total += stirling2_recurrence(p, j) * falling
-    return total
-
-
-class TestStirlingIdentity:
-    def test_negative_substitution(self):
-        assert falling_factorial_sum(2, -2) == 4
-
-    def test_at_zero_and_one(self):
-        for p in range(1, 13):
-            assert falling_factorial_sum(p, 0) == 0
-            assert falling_factorial_sum(p, 1) == 1
-
-    @given(st.integers(1, 12), st.integers(-10, 10))
-    def test_equals_power(self, p, x):
-        assert falling_factorial_sum(p, x) == x ** p
 
 
 @pytest.mark.parametrize("form,args", [

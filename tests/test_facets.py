@@ -134,15 +134,6 @@ class TestEnumerateFacets:
                 assert not (seen & current)
                 seen |= current
 
-    def test_expression_multiplicity_is_block_factorial_product(self):
-        for p in range(1, 6):
-            for l in range(p):
-                for blocks, count in oracle_collapsed_faces(p, l).items():
-                    expected = 1
-                    for block in blocks:
-                        expected *= factorial(len(block))
-                    assert count == expected
-
     def test_faces_of_one_listing_share_their_block_tuples(self):
         # Each split of the indices left into a first block and the rest is
         # built once per listing, so far fewer block objects than block

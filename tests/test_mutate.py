@@ -3,7 +3,7 @@ no copy is made and no suite runs."""
 import ast
 from functools import cache
 
-from mutate import MODULES, PACKAGE, mutants
+from mutate import MODULES, PACKAGE, killed_only_in_bench, mutants
 
 
 def parse(text):
@@ -70,3 +70,13 @@ def test_every_mutant_compiles_and_changes_one_node():
                 or old_shapes[id(old)] in (new_shapes[id(c)] for c in ast.iter_child_nodes(new))
                 or kind == "return" and isinstance(new, ast.Constant) and new.value is None), \
             (module, line, kind)
+
+
+def test_kills_only_in_bench_are_read_from_the_matrix():
+    # A timeout or a collection failure names no test, so it is left out.
+    rows = [{"line": 1, "killed_by": ["bench/test_bench.py::a"]},
+            {"line": 2, "killed_by": ["bench/test_bench.py::a", "tests/test_cli.py::b"]},
+            {"line": 3, "killed_by": ["tests/test_cli.py::b"]},
+            {"line": 4, "killed_by": []},
+            {"line": 5, "killed_by": ["bench/test_bench.py::a", "bench/test_bench.py::c[1]"]}]
+    assert [row["line"] for row in killed_only_in_bench(rows)] == [1, 5]
