@@ -479,6 +479,38 @@ class TestAuditCommand:
         assert code == 2 and out == ""
 
 
+def crash(p, n):
+    raise RuntimeError("injected")
+
+
+# One case per place that `main` or a command writes to stderr: a verify
+# skip line, the audit's summary, and main's three handlers.
+@pytest.mark.parametrize("patch, argv, code, head", [
+    pytest.param(None, ["verify", "--p", "3", "--n", "3", "--route", "pointwise",
+                        "--max-points", "8"], 3, "skipped p=3 n=3 route=pointwise: ",
+                 id="skip"),
+    pytest.param((combinatorics, "figurate", lambda k, n: 0), TestAuditCommand.SMALL, 1,
+                 "audit failed: 4 mismatches\n", id="audit"),
+    pytest.param(None, ["facets", "--p", "0", "--l", "0"], 2,
+                 "error: dimension must be >= 1, got p=0\n", id="domain"),
+    pytest.param(None, ["facets", "--p", "6", "--l", "2", "--max-expressions", "10"], 3,
+                 "budget exceeded: ", id="budget"),
+    pytest.param((verifier, "verify_algebraic", crash),
+                 ["verify", "--p", "2", "--n", "2", "--route", "algebraic"], 4,
+                 "Traceback (most recent call last):", id="crash"),
+])
+def test_messages_go_to_the_err_main_is_given(patch, argv, code, head, monkeypatch, capsys):
+    # `run` redirects sys.stderr into its own buffer, so it cannot tell
+    # whether `main` wrote to `err` or to sys.stderr; here sys.stderr is
+    # capsys's and must stay empty.
+    if patch:
+        monkeypatch.setattr(*patch)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(argv, out=out, err=err) == code
+    assert err.getvalue().startswith(head)
+    assert capsys.readouterr() == ("", "")
+
+
 def test_readme_has_cli_examples():
     assert len(readme_cli_examples()) >= 5
 
