@@ -28,8 +28,9 @@ its own, and a run is stopped after three times the unmutated suite's
 wall time. A mutant is killed when a test fails or errors, or when its
 run times out. The failing test ids of each mutant go to
 `figulat-mutate/matrix.json` under the temp dir, killed / total is
-printed for each module, and then each mutant that only tests under
-`bench/` kill. Standard library only; pytest does not collect this file.
+printed for each module, then each mutant that no test kills, and then
+each mutant that only tests under `bench/` kill. Standard library only;
+pytest does not collect this file.
 """
 import ast
 import copy
@@ -149,6 +150,12 @@ def _killers(output: str, tests: list[str]) -> list[str]:
     return sorted(killers)
 
 
+def survivors(rows):
+    """The matrix rows of the mutants that no test kills: no test failed
+    and the run did not time out."""
+    return [row for row in rows if not row["killed"]]
+
+
 def killed_only_in_bench(rows):
     """The matrix rows of the mutants that some test kills and that no test
     outside `bench/` kills."""
@@ -236,6 +243,8 @@ def main() -> int:
     for module in MODULES:
         rows = [r for r in results if r["module"] == module]
         print(f"{module}: {sum(r['killed'] for r in rows)}/{len(rows)} killed")
+    for row in survivors(results):
+        print(f"survivor: {row['module']}:{row['line']} {row['kind']} {row['change']}")
     for row in killed_only_in_bench(results):
         print(f"killed only in bench/: {row['module']}:{row['line']} {row['kind']} "
               f"{row['change']} by {', '.join(row['killed_by'])}")

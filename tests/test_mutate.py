@@ -3,7 +3,7 @@ no copy is made and no suite runs."""
 import ast
 from functools import cache
 
-from mutate import MODULES, PACKAGE, killed_only_in_bench, mutants
+from mutate import MODULES, PACKAGE, killed_only_in_bench, mutants, survivors
 
 
 def parse(text):
@@ -80,3 +80,13 @@ def test_kills_only_in_bench_are_read_from_the_matrix():
             {"line": 4, "killed_by": []},
             {"line": 5, "killed_by": ["bench/test_bench.py::a", "bench/test_bench.py::c[1]"]}]
     assert [row["line"] for row in killed_only_in_bench(rows)] == [1, 5]
+
+
+def test_survivors_are_read_from_the_matrix():
+    # A timeout is a kill that names no test, so it is not a survivor.
+    rows = [{"line": 1, "killed": True, "killed_by": ["tests/test_cli.py::b"]},
+            {"line": 2, "killed": False, "killed_by": []},
+            {"line": 3, "killed": True, "killed_by": []},
+            {"line": 4, "killed": False, "killed_by": []},
+            {"line": 5, "killed": True, "killed_by": ["bench/test_bench.py::a"]}]
+    assert [row["line"] for row in survivors(rows)] == [2, 4]

@@ -236,6 +236,48 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == set()
 
 
+def unread_definitions(defining, reading):
+    """The top-level helper functions, classes and assigned names of the
+    modules in `defining` (path to tree) that no tree in `reading` reads,
+    as (module, name). Test functions, test classes and pytest hooks are
+    pytest's to read; a fixture is read by the parameter that names it, and
+    a helper by its import in another module."""
+    read = set()
+    for tree in reading.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.arg):
+                read.add(node.arg)
+    unread = set()
+    for path, tree in defining.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread.update((path.stem, name) for name in names if name not in read
+                          and not name.startswith(("test_", "Test", "pytest_", "__")))
+    return unread
+
+
+def test_no_test_module_defines_a_helper_nothing_reads():
+    """The helper, constant or class a deleted test leaves behind, under
+    `tests/`; what `bench/` reads of them counts as read."""
+    tests = Path(__file__).parent
+    defining = {path: ast.parse(path.read_text()) for path in tests.glob("*.py")}
+    benches = {path: ast.parse(path.read_text()) for path in (tests.parent / "bench").glob("*.py")}
+    assert unread_definitions(defining, defining | benches) == set()
+
+
 # README commands, small: each route in each format, each table, a face
 # listing and an audit; then a refusal by each budget.
 COMMANDS = [
