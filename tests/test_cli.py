@@ -19,6 +19,16 @@ CASES = json.loads(CORPUS.read_text())
 
 
 class TestVerifyCommand:
+    def test_all_routes_single_cell(self):
+        code, out, _ = run([
+            "verify", "--p", "2..2", "--n", "2..2",
+            "--route", "all", "--format", "json-lines",
+        ])
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["route"] for r in records] == ["algebraic", "geometric", "pointwise"]
+        assert {r["rhs"] for r in records} == {4}
+
     def test_usage_error_on_bad_range(self):
         code, _, _ = run(["verify", "--p", "0..2", "--n", "1..2"])
         assert code == 2
@@ -328,6 +338,12 @@ class TestTableCommand:
         # S(0, j) has no j >= 1, so the table has no rows and no header.
         assert run(["table", "--kind", "stirling", "--m", "0", "--format", fmt]) == (0, "", "")
 
+    def test_plain_table_has_header(self):
+        code, out, _ = run(["table", "--kind", "stirling", "--m", "3"])
+        assert code == 0
+        header = out.splitlines()[0]
+        assert "value" in header and "symbol" in header
+
 
 class TestFacetsCommand:
     def test_diagonal(self):
@@ -417,6 +433,12 @@ class TestAuditCommand:
                            for name in names)
         assert families == {"stirling": 3, "surjections": 3, "bell row": 2, "facet count": 3}
         assert err == "audit failed: 11 mismatches\n"
+
+    def test_reduced_grid_passes(self):
+        code, out, _ = run(["audit", "--m-max", "5", "--k-max", "5", "--n-max", "5",
+                            "--p-max", "4", "--cover-p-max", "3", "--cover-n-max", "3"])
+        assert code == 0
+        assert "audit ok" in out
 
     def test_malformed_flag(self):
         code, _, _ = run(["audit", "--m-max", "not-a-number"])

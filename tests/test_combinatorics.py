@@ -17,20 +17,42 @@ from figulat.combinatorics import (
 )
 from figulat.errors import DomainError
 from figulat.verifier import verify_algebraic
+from test_facets import brute_surjections
 
 
-def brute_surjections(m, k):
-    return [
-        values
-        for values in product(range(1, k + 1), repeat=m)
-        if set(values) == set(range(1, k + 1))
-    ]
+def count_weakly_decreasing(k, n):
+    return sum(
+        1 for t in product(range(n), repeat=k) if all(a >= b for a, b in zip(t, t[1:]))
+    )
+
+
+def count_partitions_into(m, j):
+    """Set partitions of {0..m-1} into exactly j blocks, by assigning each
+    element a block label in restricted-growth form."""
+    def grow(labels, used):
+        if len(labels) == m:
+            return 1 if used == j else 0
+        return sum(grow(labels + [b], max(used, b + 1)) for b in range(used + 1))
+    return grow([], 0)
 
 
 class TestFigurate:
     def test_dimension_one_is_side(self):
         for n in range(1, 10):
             assert figurate(1, n) == n
+
+    def test_oracle_values(self):
+        assert figurate(2, 4) == count_weakly_decreasing(2, 4) == 10
+        assert figurate(3, 2) == count_weakly_decreasing(3, 2) == 4
+
+    def test_side_one(self):
+        for k in range(1, 10):
+            assert figurate(k, 1) == 1
+
+    def test_oracle_grid(self):
+        for k in range(1, 7):
+            for n in range(1, 7):
+                assert figurate(k, n) == count_weakly_decreasing(k, n)
 
     @pytest.mark.parametrize("k,n", [(0, 3), (3, 0), (0, 0)])
     def test_rejects_zero(self, k, n):
@@ -39,10 +61,19 @@ class TestFigurate:
 
 
 class TestStirling:
+    def test_oracle_values(self):
+        assert stirling2_recurrence(3, 2) == count_partitions_into(3, 2) == 3
+        assert stirling2_recurrence(4, 2) == count_partitions_into(4, 2) == 7
+
     def test_diagonal_and_single_block(self):
         for p in range(1, 15):
             assert stirling2_recurrence(p, p) == 1
             assert stirling2_recurrence(p, 1) == 1
+
+    def test_inclusion_exclusion_values(self):
+        assert stirling2_inclusion_exclusion(4, 2) == 7
+        assert stirling2_inclusion_exclusion(3, 3) == 1
+        assert stirling2_inclusion_exclusion(2, 1) == 1
 
     def test_inclusion_exclusion_rejects_j_zero(self):
         with pytest.raises(DomainError):
@@ -57,15 +88,29 @@ class TestStirling:
         with pytest.raises(DomainError):
             route(m, j)
 
+    def test_row_sums_are_bell_numbers(self):
+        for m in range(1, 9):
+            bell = sum(count_partitions_into(m, j) for j in range(1, m + 1))
+            assert sum(stirling2_recurrence(m, j) for j in range(1, m + 1)) == bell
+
 
 class TestSurjectionCount:
     """T(m, j) = j! * S(m, j) is the face count c_{m, m-j} for 1 <= j <= m;
     off that range the surjection count is read through S(m, j)."""
 
+    def test_bijections(self):
+        for p in range(1, 8):
+            assert facet_count(p, 0) == factorial(p)
+
     def test_onto_larger_set_is_zero(self):
         assert stirling2_recurrence(2, 3) == 0
         for m in range(0, 6):
             assert stirling2_recurrence(m, m + 1) == stirling2_recurrence(m, 2 * m + 1) == 0
+
+    def test_oracle_grid(self):
+        for m in range(1, 7):
+            for j in range(1, m + 1):
+                assert facet_count(m, m - j) == len(brute_surjections(m, j))
 
     def test_empty_domain_or_codomain(self):
         assert stirling2_recurrence(0, 0) == 1
@@ -87,6 +132,14 @@ class TestSurjectionCount:
 
 
 class TestFacetCount:
+    def test_top_dimension_counts_permutations(self):
+        for p in range(1, 9):
+            assert facet_count(p, 0) == factorial(p)
+
+    def test_main_diagonal(self):
+        for p in range(1, 9):
+            assert facet_count(p, p - 1) == 1
+
     @pytest.mark.parametrize("p,l", [(3, 3), (3, -1), (3, 4), (0, 0)])
     def test_rejects_out_of_range(self, p, l):
         with pytest.raises(DomainError):

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial
 
 import pytest
@@ -9,12 +9,21 @@ from figulat.errors import BudgetExceededError, DomainError, check_every_codimen
 from figulat.facets import (
     DEFAULT_MAX_EXPRESSIONS,
     OrderedSetPartition,
+    _block_sequences,
     enumerate_facets,
     facet_to_surjection,
     iter_facets,
 )
-from figulat.oracles import oracle_collapsed_faces
+from figulat.oracles import oracle_collapsed_faces, oracle_surjection_to_facet
 from figulat.verifier import LTerm, SkippedCell, VerificationReport, verify_geometric
+
+
+def brute_surjections(m, k):
+    return [
+        values
+        for values in product(range(1, k + 1), repeat=m)
+        if set(values) == set(range(1, k + 1))
+    ]
 
 
 # One value of each value type.
@@ -67,6 +76,13 @@ class TestCollapsedFaces:
         assert oracle_collapsed_faces(2, 0) == {((1,), (2,)): 1, ((2,), (1,)): 1}
         assert oracle_collapsed_faces(2, 1) == {((1, 2),): 2}
 
+    def test_expression_counts(self):
+        assert sum(oracle_collapsed_faces(3, 1).values()) == 12
+        for p in range(1, 6):
+            for l in range(p):
+                count = sum(oracle_collapsed_faces(p, l).values())
+                assert count == factorial(p) * comb(p - 1, l)
+
     def test_equality_runs_become_sorted_blocks(self):
         # x2=x1>=x3 collapses to {1,2}>={3}
         assert oracle_collapsed_faces(3, 1)[(1, 2), (3,)] == 2
@@ -86,7 +102,38 @@ class TestCollapsedFaces:
                     assert all(list(block) == sorted(block) for block in blocks)
 
 
+class TestOrderedSetPartition:
+    def test_text_form(self):
+        f = OrderedSetPartition(((1, 2), (3,)))
+        assert f.text() == "{1,2}>={3}"
+
+
 class TestEnumerateFacets:
+    def test_diagonal_only(self):
+        assert enumerate_facets(2, 1) == [OrderedSetPartition(((1, 2),))]
+
+    def test_counts_match_closed_form(self):
+        for p in range(1, 7):
+            for l in range(p):
+                faces = enumerate_facets(p, l)
+                assert len(faces) == facet_count(p, l)
+                assert len(faces) == len(brute_surjections(p, p - l))
+
+    def test_top_dimension_counts_permutations(self):
+        assert len(enumerate_facets(3, 0)) == 6
+
+    def test_deterministic_sorted_order(self):
+        faces = enumerate_facets(4, 2)
+        assert [f.blocks for f in faces] == sorted(f.blocks for f in faces)
+
+    def test_distinct_codimensions_are_disjoint(self):
+        for p in range(1, 6):
+            seen = set()
+            for l in range(p):
+                current = set(enumerate_facets(p, l))
+                assert not (seen & current)
+                seen |= current
+
     def test_faces_of_one_listing_share_their_block_tuples(self):
         # Each split of the indices left into a first block and the rest is
         # built once per listing, so far fewer block objects than block
@@ -94,6 +141,12 @@ class TestEnumerateFacets:
         for l in (1, 2, 3):
             slots = [b for f in enumerate_facets(7, l) for b in f.blocks]
             assert len({id(b) for b in slots}) * 4 <= len(slots)
+
+    def test_block_sequences_are_generated_sorted(self):
+        for p in range(1, 8):
+            for k in range(1, p + 1):
+                sequences = list(chain.from_iterable(_block_sequences(tuple(range(1, p + 1)), k)))
+                assert sequences == sorted(sequences)
 
     @pytest.mark.parametrize("p", range(1, 8))
     def test_direct_generation_matches_chain_expression_collapse(self, p):
@@ -182,3 +235,12 @@ class TestSurjectionBijection:
         assert facet_to_surjection(OrderedSetPartition(((1, 2), (3,)))) == (1, 1, 2)
         assert facet_to_surjection(OrderedSetPartition(((1,), (2,), (3,)))) == (1, 2, 3)
         assert facet_to_surjection(OrderedSetPartition(((3,), (1, 2)))) == (2, 2, 1)
+
+    def test_round_trip_both_ways(self):
+        for p in range(1, 6):
+            for l in range(p):
+                for face in enumerate_facets(p, l):
+                    assert oracle_surjection_to_facet(facet_to_surjection(face)) == face.blocks
+                for values in brute_surjections(p, p - l):
+                    face = OrderedSetPartition(oracle_surjection_to_facet(values))
+                    assert facet_to_surjection(face) == values

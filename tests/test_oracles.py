@@ -6,6 +6,7 @@ from test_package import PACKAGE, bool_checks
 
 from figulat import oracles
 from figulat.errors import BudgetExceededError, DomainError
+from figulat.lattice import cube_points, point_multiplicity
 from figulat.oracles import (
     MAX_SCAN,
     oracle_collapsed_faces,
@@ -219,5 +220,16 @@ class TestOracleSurjectionToFacet:
 
 
 class TestOracleSignedCover:
+    def test_hand_checked(self):
+        assert oracle_signed_cover((1, 0)) == 1
+        # one group of size 2: -1!*S(2,1) + 2!*S(2,2) = -1 + 2
+        assert oracle_signed_cover((1, 1)) == 1
+
     def test_reads_only_the_coordinates(self):
         assert oracle_signed_cover([2, 0, 2, 1]) == 1
+
+    def test_agrees_with_geometric_multiplicity(self):
+        for p in range(1, 5):
+            for n in range(1, 4):
+                for q in cube_points(p, n):
+                    assert oracle_signed_cover(q) == point_multiplicity(q) == 1

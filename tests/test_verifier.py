@@ -78,6 +78,10 @@ class TestGeometricRoute:
             (0, 2, 3), (1, 1, 2),
         ]
 
+    def test_single_point_cube(self):
+        report = verify_geometric(3, 1)
+        assert report.ok and report.rhs == 1
+
     def test_p3_n2(self):
         report = verify_geometric(3, 2)
         assert report.ok and report.rhs == 8
@@ -90,6 +94,11 @@ class TestGeometricRoute:
         # The largest face needs 2^3 = 8 points of budget; the cell has 44.
         report = verify_geometric(3, 2, max_points=8)
         assert report.ok and report.points_enumerated == 44
+
+    def test_enumeration_actually_ran(self):
+        for p in range(1, 4):
+            for n in range(2, 4):
+                assert verify_geometric(p, n).points_enumerated > 0
 
     def test_every_expression_cap_is_checked_before_any_face(self, monkeypatch):
         # p=5 needs 120, 480 and 720 expressions for l = 0, 1, 2.
@@ -124,6 +133,11 @@ class TestPointwiseRoute:
 
     def test_rejects_out_of_domain(self):
         assert_rejects_out_of_domain(verify_pointwise)
+
+    def test_side_one(self):
+        for p in range(1, 5):
+            report = verify_pointwise(p, 1)
+            assert report.ok and report.rhs == 1
 
     def test_p3_n2_cube_scan(self):
         report = verify_pointwise(3, 2)
@@ -173,14 +187,44 @@ def test_both_routes_refuse_a_budget_that_is_not_a_positive_integer(budget, cap)
 
 
 class TestSweep:
+    def test_grid_size_and_order(self):
+        cells = list(sweep(range(1, 3), range(1, 3)))
+        assert len(cells) == 12
+        keys = [(c.p, c.n, c.route) for c in cells]
+        routes = ("algebraic", "geometric", "pointwise")
+        assert keys == [
+            (p, n, r) for p in (1, 2) for n in (1, 2) for r in routes
+        ]
+        assert all(isinstance(c, VerificationReport) and c.ok for c in cells)
+
     def test_returns_iterator_not_list(self):
         cells = sweep(range(1, 3), range(1, 3), ["algebraic"])
         assert isinstance(cells, Iterator) and not isinstance(cells, list)
         assert (next(cells).p, next(cells).n) == (1, 2)
 
+    def test_single_cell(self):
+        cells = list(sweep(range(1, 2), range(1, 2), ["algebraic"]))
+        assert len(cells) == 1 and cells[0].ok
+
+    def test_algebraic_only_grid(self):
+        cells = list(sweep(range(1, 5), range(1, 4), ["algebraic"]))
+        assert len(cells) == 12 and all(c.ok for c in cells)
+
     def test_ranges_need_not_start_at_one(self):
         cells = list(sweep(range(3, 5), range(2, 3), ["algebraic"]))
         assert [(c.p, c.n) for c in cells] == [(3, 2), (4, 2)]
+
+    def test_route_agreement(self):
+        cells = list(sweep(range(1, 5), range(1, 4)))
+        assert len(cells) == 36
+        assert all(c.rhs == c.n ** c.p for c in cells)
+
+    def test_budget_produces_skip_not_abort(self):
+        cells = list(sweep(range(1, 4), range(1, 4), ["pointwise"], max_points=8))
+        skipped = [c for c in cells if isinstance(c, SkippedCell)]
+        done = [c for c in cells if isinstance(c, VerificationReport)]
+        assert skipped and done and len(cells) == 9
+        assert all(c.ok for c in done)
 
     def test_expression_cap_skips_geometric_and_pointwise_alike(self):
         cells = list(sweep([4], [1], max_expressions=71))
