@@ -17,7 +17,7 @@ from itertools import chain
 
 from .errors import (
     DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, ROUTES, BudgetExceededError, DomainError,
-    check_every_codimension)
+    check_expressions)
 
 SCHEMA_VERSION = "1"
 
@@ -163,7 +163,7 @@ def _audit_pairings(args):
     from . import combinatorics, oracles
     from .facets import iter_facets
     from .lattice import cube_points, point_multiplicity
-    check_every_codimension(max(args.p_max, args.cover_p_max), DEFAULT_MAX_EXPRESSIONS)
+    check_expressions(max(args.p_max, args.cover_p_max), DEFAULT_MAX_EXPRESSIONS)
     for m in range(0, args.m_max + 1):
         for j in range(1, max(m, 1) + 1):
             yield (

@@ -64,9 +64,12 @@ def check_need(required: int, cap: int, template: str, *values) -> None:
         raise BudgetExceededError(template.format(*values), required, cap)
 
 
-def _check_enumeration_budget(p: int, l: int | None, max_expressions: int) -> None:
-    """Raise unless p, l and the cap are valid, in that order, and the p! * C(p-1, l)
-    chain expressions fit the cap; with l None, those of each l = 0..p-1 in turn."""
+def check_expressions(p: int, max_expressions: int, l: int | None = None) -> None:
+    """Raise unless p, l and the cap are valid, in that order, and the
+    p! * C(p-1, l) chain expressions of codimension l fit the cap; without
+    l, those of every codimension l = 0..p-1, checked in order of l. What
+    builds the faces of the whole identity checks them all before its
+    first face."""
     check_integers("dimension must be an integer, got {!r}", p)
     if p < 1:
         raise DomainError(f"dimension must be >= 1, got p={p}")
@@ -79,10 +82,3 @@ def _check_enumeration_budget(p: int, l: int | None, max_expressions: int) -> No
     for l in range(p) if l is None else (l,):
         check_need(p_factorial * comb(p - 1, l), max_expressions,
                    "chain-expression enumeration for (p={}, l={}) exceeds the expression cap", p, l)
-
-
-def check_every_codimension(p: int, max_expressions: int) -> None:
-    """Raise unless every codimension l = 0..p-1 fits the expression cap,
-    checked in order of l. Callers that build the faces of the whole
-    identity call this before they build the first face."""
-    _check_enumeration_budget(p, None, max_expressions)

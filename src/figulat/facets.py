@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, combinations, repeat
 
-from .errors import DEFAULT_MAX_EXPRESSIONS, _check_enumeration_budget
+from .errors import DEFAULT_MAX_EXPRESSIONS, check_expressions
 
 
 class OrderedSetPartition(namedtuple("OrderedSetPartition", "blocks")):
@@ -74,7 +74,7 @@ def iter_facets(p: int, l: int, max_expressions: int = DEFAULT_MAX_EXPRESSIONS):
     """Every distinct codimension-l face, one at a time, in lexicographic
     order of block sequence. The arguments and the cap are checked when
     this is called, before the first face is built."""
-    _check_enumeration_budget(p, l, max_expressions)
+    check_expressions(p, max_expressions, l)
     sequences = chain.from_iterable(_block_sequences(tuple(range(1, p + 1)), p - l))
     # Every block sequence here is a valid face.
     return map(tuple.__new__, repeat(OrderedSetPartition), zip(sequences))

@@ -24,7 +24,7 @@ from operator import itemgetter, or_
 
 from .errors import (
     DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, POINT_CAP, DomainError, check_cap,
-    check_every_codimension, check_integers, check_need)
+    check_expressions, check_integers, check_need)
 
 
 def enumerate_points(
@@ -104,7 +104,7 @@ def _face_index(
     Cached for the last p and expression cap only, since sweeps run
     p-major. Typed, so that a bool cap never reads the entry of an int one
     and skips the cap's check."""
-    check_every_codimension(p, max_expressions)
+    check_expressions(p, max_expressions)
     # Each s's first blocks in reverse order, so that the join puts face 0
     # at bit 0, each with the ranks of the indices among those outside it.
     firsts = {s: sorted(((first, [a - sum(i < a for i in first) for a in range(s)])

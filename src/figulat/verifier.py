@@ -18,7 +18,7 @@ from operator import mul, neg
 
 from .errors import (
     DEFAULT_MAX_EXPRESSIONS, DEFAULT_MAX_POINTS, EXPRESSION_CAP, POINT_CAP, ROUTES,
-    BudgetExceededError, DomainError, check_cap, check_every_codimension, check_integers)
+    BudgetExceededError, DomainError, check_cap, check_expressions, check_integers)
 
 
 LTerm = namedtuple("LTerm", "l facet_count per_facet_points signed_term")
@@ -79,7 +79,7 @@ def verify_geometric(
     from .facets import enumerate_facets
     from .lattice import enumerate_points
     _validate(p, n)
-    check_every_codimension(p, max_expressions)
+    check_expressions(p, max_expressions)
     terms, rhs, points_enumerated = [], 0, 0
     for l in range(p):
         faces = enumerate_facets(p, l, max_expressions)

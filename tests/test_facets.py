@@ -5,7 +5,7 @@ import pytest
 
 from figulat.combinatorics import facet_count
 from figulat import errors
-from figulat.errors import BudgetExceededError, DomainError, check_every_codimension
+from figulat.errors import BudgetExceededError, DomainError, check_expressions
 from figulat.facets import (
     DEFAULT_MAX_EXPRESSIONS,
     OrderedSetPartition,
@@ -198,7 +198,7 @@ class TestEnumerateFacets:
     def test_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
         for check in (lambda: enumerate_facets(3, 1, max_expressions=cap),
                       lambda: iter_facets(3, 1, max_expressions=cap),
-                      lambda: check_every_codimension(3, cap)):
+                      lambda: check_expressions(3, cap)):
             with pytest.raises(DomainError, match="^expression cap must be an integer >= 1"):
                 check()
 
@@ -207,17 +207,17 @@ class TestCheckEveryCodimension:
     def test_reports_the_first_codimension_over_the_cap(self):
         # p=5 needs 120, 480, 720, 480 and 120 expressions for l = 0..4.
         with pytest.raises(BudgetExceededError, match=r"\(p=5, l=0\).*needs 120, budget is 119"):
-            check_every_codimension(5, 119)
+            check_expressions(5, 119)
         with pytest.raises(BudgetExceededError, match=r"\(p=5, l=2\).*needs 720, budget is 719"):
-            check_every_codimension(5, 719)
-        check_every_codimension(5, 720)
+            check_expressions(5, 719)
+        check_expressions(5, 720)
 
     def test_refuses_a_bad_cap_before_computing_any_need(self, monkeypatch):
         # At p = 10^6 the factorial alone would take seconds.
         def refuse(p):
             raise AssertionError("a need was computed")
         monkeypatch.setattr(errors, "factorial", refuse)
-        for check in (lambda: check_every_codimension(10 ** 6, 0),
+        for check in (lambda: check_expressions(10 ** 6, 0),
                       lambda: iter_facets(10 ** 6, 0, True),
                       lambda: verify_geometric(10 ** 6, 1, max_expressions=0)):
             with pytest.raises(DomainError, match="^expression cap must be an integer >= 1"):
@@ -225,7 +225,7 @@ class TestCheckEveryCodimension:
 
     @pytest.mark.parametrize("p", [0, -3, True, 2.0])
     def test_rejects_bad_dimension(self, p):
-        for check in (lambda: check_every_codimension(p, 1), lambda: iter_facets(p, 0)):
+        for check in (lambda: check_expressions(p, 1), lambda: iter_facets(p, 0)):
             with pytest.raises(DomainError, match="^dimension must be "):
                 check()
 

@@ -19,8 +19,7 @@ CELLS = [(1, 1), (2, 3), (3, 2), (4, 3)]
 
 VALIDATE = {"figulat.verifier._validate", "figulat.errors.check_integers"}
 BUDGET = {
-    "figulat.errors._check_enumeration_budget",
-    "figulat.errors.check_every_codimension",
+    "figulat.errors.check_expressions",
     "figulat.errors.check_cap",
     "figulat.errors.check_need",
 }

@@ -464,13 +464,13 @@ class TestFaceRelationIndex:
 
     def test_face_index_receives_the_pointwise_expression_cap(self, monkeypatch):
         caps = []
-        real = lattice.check_every_codimension
+        real = lattice.check_expressions
 
         def spy(p, max_expressions):
             caps.append(max_expressions)
             return real(p, max_expressions)
 
-        monkeypatch.setattr(lattice, "check_every_codimension", spy)
+        monkeypatch.setattr(lattice, "check_expressions", spy)
         lattice._face_index.cache_clear()
         try:
             raised = 2 * DEFAULT_MAX_EXPRESSIONS

@@ -236,6 +236,28 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == set()
 
 
+def private_imports(tree):
+    """The names with a leading underscore that the imports in `tree` take
+    from a package module, relative or by the package's name."""
+    return {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "figulat")
+        for alias in node.names if alias.name.startswith("_")
+    }
+
+
+def test_no_package_module_imports_a_private_name():
+    """A leading underscore keeps a name to its module: what another module
+    of the package needs is public, so no wrapper stands in for it."""
+    imported = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name in private_imports(ast.parse(path.read_text()))
+    }
+    assert imported == set()
+
+
 def unread_definitions(defining, reading):
     """The top-level helper functions, classes and assigned names of the
     modules in `defining` (path to tree) that no tree in `reading` reads,
