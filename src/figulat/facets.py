@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, combinations, repeat
 
-from .errors import DEFAULT_MAX_EXPRESSIONS, check_expressions
+from .errors import DEFAULT_MAX_EXPRESSIONS, DomainError, check_expressions
 
 
 class OrderedSetPartition(namedtuple("OrderedSetPartition", "blocks")):
@@ -89,9 +89,21 @@ def enumerate_facets(
 
 def facet_to_surjection(facet: OrderedSetPartition) -> tuple[int, ...]:
     """The values of the surjection that sends every index in block i to
-    i (blocks numbered from 1)."""
-    values = [0] * sum(map(len, facet.blocks))
-    for i, block in enumerate(facet.blocks, start=1):
-        for idx in block:
-            values[idx - 1] = i
+    i (blocks numbered from 1). Raises DomainError unless the blocks are
+    nonempty and hold each of 1..p once, p being how many indices they
+    hold; an index is read as the number it equals, so `True` reads as 1."""
+    blocks = facet.blocks
+    values = [0] * sum(map(len, blocks))
+    try:
+        for i, block in enumerate(blocks, start=1):
+            for idx in block:
+                if idx < 1:  # values[idx - 1] would count from the end
+                    raise IndexError
+                values[idx - 1] = i
+        # p indices in 1..p leave a 0 only if one repeats, and so one is missing.
+        if 0 in values or not all(blocks):
+            raise IndexError
+    except (IndexError, TypeError):
+        raise DomainError(
+            f"face blocks must be nonempty and hold each of 1..p once, got {blocks!r}") from None
     return tuple(values)

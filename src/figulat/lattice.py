@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, combinations_with_replacement, compress, product
+from math import log2
 from operator import itemgetter, or_
 
 from .errors import (
@@ -39,8 +40,8 @@ def enumerate_points(
     check_cap(POINT_CAP, max_points)
     blocks = facet.blocks
     k = len(blocks)
-    check_need(n ** k, max_points,
-               "point enumeration for a {}-block face at side {} exceeds the point cap", k, n)
+    check_need(k * log2(n), pow, max_points,
+               "point enumeration for a {1}-block face at side {0} exceeds the point cap", n, k)
     # where[i] is the position, counted from the last block, of the block
     # holding index i + 1. With one index the value tuple is already the
     # coordinate tuple; itemgetter of one index would return a bare value.
@@ -64,7 +65,8 @@ def cube_points(
     if n < 1:
         raise DomainError(f"side must be >= 1, got {n}")
     check_cap(POINT_CAP, max_points)
-    check_need(n ** p, max_points, "cube scan for (p={}, n={}) exceeds the point cap", p, n)
+    check_need(p * log2(n), pow, max_points,
+               "cube scan for (p={1}, n={0}) exceeds the point cap", n, p)
     return product(range(n), repeat=p)
 
 

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from figulat import cli, combinatorics, facets, lattice, oracles, verifier
+from figulat import cli, combinatorics, errors, facets, lattice, oracles, verifier
 from figulat.cli import main
 from make_cli_corpus import CORPUS, cases, changes, readme_cli_examples, run
 
@@ -157,6 +157,33 @@ def test_pointwise_route_honours_expression_cap():
     assert (code, out) == (geo_code, "") == (3, "")
     assert err.startswith("skipped p=4 n=1 route=pointwise: ")
     assert err.split(": ", 1)[1] == geo_err.split(": ", 1)[1]
+
+
+# Each need is millions of bits long; the stderr is the bytes it had when
+# the need was built, which took 3-9 s.
+HUGE_REFUSALS = {
+    "facets --p 1000000 --l 0":
+        "budget exceeded: chain-expression enumeration for (p=1000000, l=0) exceeds the "
+        "expression cap: needs at least 2^18488884, budget is 92897280\n",
+    "verify --p 1000000 --n 1 --route geometric":
+        "skipped p=1000000 n=1 route=geometric: chain-expression enumeration for "
+        "(p=1000000, l=0) exceeds the expression cap: needs at least 2^18488884, "
+        "budget is 92897280\n",
+    "verify --p 10000000 --n 3 --route pointwise":
+        "skipped p=10000000 n=3 route=pointwise: cube scan for (p=10000000, n=3) exceeds "
+        "the point cap: needs at least 2^15849625, budget is 10000000\n",
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_REFUSALS)
+def test_a_huge_need_is_refused_without_building_it(argv, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a need was built")
+    monkeypatch.setattr(errors, "factorial", refuse)
+    monkeypatch.setattr(lattice, "pow", refuse, raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(argv.split(), out=out, err=err) == 3
+    assert (out.getvalue(), err.getvalue()) == ("", HUGE_REFUSALS[argv])
 
 
 @pytest.fixture

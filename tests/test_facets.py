@@ -183,6 +183,14 @@ class TestEnumerateFacets:
             f"needs at least 2^{factorial(2000).bit_length() - 1}, budget is "
             f"{DEFAULT_MAX_EXPRESSIONS}")
 
+    def test_a_huge_need_of_an_inner_codimension_states_its_size(self):
+        need = factorial(2000) * comb(1999, 1000)
+        with pytest.raises(BudgetExceededError,
+                           match=rf"\(p=2000, l=1000\).*needs at least 2\^{need.bit_length() - 1},"
+                           ) as refused:
+            iter_facets(2000, 1000)
+        assert refused.value.required == need
+
     @pytest.mark.parametrize("p,l", [(True, 0), (2.0, 0), (2, True), (2, 1.0)])
     def test_rejects_dimension_or_codimension_not_an_integer(self, p, l):
         for build in (enumerate_facets, iter_facets):
@@ -235,6 +243,14 @@ class TestSurjectionBijection:
         assert facet_to_surjection(OrderedSetPartition(((1, 2), (3,)))) == (1, 1, 2)
         assert facet_to_surjection(OrderedSetPartition(((1,), (2,), (3,)))) == (1, 2, 3)
         assert facet_to_surjection(OrderedSetPartition(((3,), (1, 2)))) == (2, 2, 1)
+
+    @pytest.mark.parametrize("blocks", [
+        ((1,), (1,)), ((1,), (3,)), ((0,), (1,)), ((1,), (-1,)), ((1.0,), (2,)), (("1",), (2,)),
+        ((1,), (), (2,)),
+    ], ids=["repeated", "missing", "zero", "negative", "float", "text", "empty-block"])
+    def test_facet_to_surjection_refuses_a_malformed_face(self, blocks):
+        with pytest.raises(DomainError, match=r"^face blocks must be nonempty and hold each of 1\.\.p"):
+            facet_to_surjection(OrderedSetPartition(blocks))
 
     def test_round_trip_both_ways(self):
         for p in range(1, 6):

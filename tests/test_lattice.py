@@ -1,13 +1,13 @@
 import sys
 from collections import Counter, defaultdict
 from itertools import accumulate, compress, product
-from math import comb
+from math import comb, log2
 
 import pytest
 
 from figulat import lattice
 from figulat.combinatorics import facet_count, figurate
-from figulat.errors import BudgetExceededError, DomainError
+from figulat.errors import BudgetExceededError, DomainError, check_need
 from figulat.facets import (
     DEFAULT_MAX_EXPRESSIONS, OrderedSetPartition, enumerate_facets, facet_to_surjection,
 )
@@ -187,6 +187,27 @@ class TestCubePoints:
             cube_points(5000, 10)
         assert refused.value.required == 10 ** 5000
         assert f"needs at least 2^{(10 ** 5000).bit_length() - 1}," in str(refused.value)
+
+    def test_a_need_prints_in_full_below_4300_digits(self):
+        with pytest.raises(BudgetExceededError, match=f"needs 1{'0' * 4298}, budget is 10000000$"):
+            cube_points(4298, 10)
+        with pytest.raises(BudgetExceededError, match=r"needs at least 2\^14280, budget"):
+            cube_points(4299, 10)
+        # Its logarithm rounds to that of 10^4299, so only the need tells.
+        with pytest.raises(BudgetExceededError, match=f"needs {'9' * 4299}, budget is 1$"):
+            check_need(4299 * log2(10), lambda: 10 ** 4299 - 1, 1, "scan")
+
+    def test_a_huge_need_fits_a_cap_it_equals(self):
+        assert next(cube_points(5000, 10, max_points=10 ** 5000)) == (0,) * 5000
+        with pytest.raises(BudgetExceededError) as refused:
+            cube_points(5000, 10, max_points=10 ** 5000 - 1)
+        assert refused.value.required == 10 ** 5000
+
+    def test_a_huge_need_just_under_a_power_of_two_states_its_bit_length(self):
+        # 300 * log2(2^60 - 1) rounds to 18000.0; the need has 18,000 bits.
+        with pytest.raises(BudgetExceededError, match=r"needs at least 2\^17999, budget") as refused:
+            cube_points(300, 2 ** 60 - 1)
+        assert refused.value.required == (2 ** 60 - 1) ** 300
 
     @pytest.mark.parametrize("cap", [True, 0, -5, 2.0, "x", None])
     def test_rejects_a_cap_that_is_not_a_positive_integer(self, cap):
