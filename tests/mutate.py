@@ -25,8 +25,11 @@ byte for byte, so tests that read the source see only that change.
 First the unmutated suite runs, and it must pass. Then the tier-1 command
 runs on each mutant, one run per CPU at a time, each with a `TMPDIR` of
 its own, and a run is stopped after three times the unmutated suite's
-wall time. A mutant is killed when a test fails or errors, or when its
-run times out. The failing test ids of each mutant go to
+wall time. A stopped run names no test, and on a busy machine a mutant
+that tests kill in seconds can be stopped, so once the others are done
+each stopped mutant runs once more, alone, with twice that limit. A
+mutant is killed when a test fails or errors, or when its run is stopped
+both times. The failing test ids of each mutant go to
 `figulat-mutate/matrix.json` under the temp dir, killed / total is
 printed for each module, then each mutant that no test kills, and then
 each mutant that only tests under `bench/` kill. Standard library only;
@@ -43,6 +46,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,6 +167,12 @@ def killed_only_in_bench(rows):
             if row["killed_by"] and all(t.startswith("bench/") for t in row["killed_by"])]
 
 
+def reruns(rows):
+    """The indices of the matrix rows whose run was stopped by the time
+    limit: the mutants to run again, alone, with twice the limit."""
+    return [index for index, row in enumerate(rows) if row["timeout"]]
+
+
 def _run(tree: Path, scratch: Path, timeout: float | None):
     """Run the tier-1 command in `tree` with `scratch` as its temp dir.
     Returns (exit code or None on timeout, output, wall seconds)."""
@@ -216,13 +226,13 @@ def main() -> int:
     matrix = home / "matrix.json"
     free = list(range(workers))
 
-    def attempt(index):
+    def attempt(index, limit):
         module, line, kind, change, text = todo[index]
         slot = free.pop()
         target = trees[slot] / "src" / "figulat" / f"{module}.py"
         try:
             target.write_text(text)
-            code, output, wall = _run(trees[slot], home / f"tmp{slot}", 3 * seconds)
+            code, output, wall = _run(trees[slot], home / f"tmp{slot}", limit)
         finally:
             target.write_text(originals[module])
             free.append(slot)
@@ -232,11 +242,14 @@ def main() -> int:
                           "killed": code is None or code != 0, "seconds": round(wall, 1)}
         done = [r for r in results if r is not None]
         print(f"{len(done)}/{len(todo)} {module}:{line} {kind}: "
-              f"{'timeout' if code is None else len(killers)} ", flush=True)
+              f"{'timeout' if code is None else len(killers)}"
+              f"{' (rerun)' if limit > 3 * seconds else ''}", flush=True)
         matrix.write_text(json.dumps({"tests": tests, "mutants": done}, indent=1))
 
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(attempt, range(len(todo))))
+        list(pool.map(attempt, range(len(todo)), repeat(3 * seconds)))
+    for index in reruns(results):
+        attempt(index, 6 * seconds)
     for tree in trees:
         shutil.rmtree(tree)
     matrix.write_text(json.dumps({"tests": tests, "mutants": results}, indent=1))

@@ -3,7 +3,7 @@ no copy is made and no suite runs."""
 import ast
 from functools import cache
 
-from mutate import MODULES, PACKAGE, killed_only_in_bench, mutants, survivors
+from mutate import MODULES, PACKAGE, killed_only_in_bench, mutants, reruns, survivors
 
 
 def parse(text):
@@ -90,3 +90,13 @@ def test_survivors_are_read_from_the_matrix():
             {"line": 4, "killed": False, "killed_by": []},
             {"line": 5, "killed": True, "killed_by": ["bench/test_bench.py::a"]}]
     assert [row["line"] for row in survivors(rows)] == [2, 4]
+
+
+def test_only_mutants_stopped_by_the_time_limit_run_again():
+    # A failed test, a clean pass or a collection failure is final.
+    rows = [{"timeout": False, "killed": True, "killed_by": ["tests/test_cli.py::b"]},
+            {"timeout": True, "killed": True, "killed_by": []},
+            {"timeout": False, "killed": False, "killed_by": []},
+            {"timeout": False, "killed": True, "killed_by": ["tests/test_lattice.py"]},
+            {"timeout": True, "killed": True, "killed_by": []}]
+    assert reruns(rows) == [1, 4]

@@ -220,11 +220,6 @@ class TestOracleSurjectionToFacet:
 
 
 class TestOracleSignedCover:
-    def test_hand_checked(self):
-        assert oracle_signed_cover((1, 0)) == 1
-        # one group of size 2: -1!*S(2,1) + 2!*S(2,2) = -1 + 2
-        assert oracle_signed_cover((1, 1)) == 1
-
     def test_reads_only_the_coordinates(self):
         assert oracle_signed_cover([2, 0, 2, 1]) == 1
 
