@@ -17,10 +17,11 @@ POINT_CAP = "point cap must be an integer >= 1, got {!r}"
 # Below this, an int prints in decimal: Python's default limit on int-to-text
 # conversion is 4,300 digits, and printing is quadratic in the digits.
 _PRINTABLE = 10 ** 4299
-# The base-2 logarithm of _PRINTABLE. Each logarithm of a need or a cap is
-# off by a few units in its last place (at most 7e-16 of itself for the
-# expression needs, p <= 20,000), so a need whose logarithm lies within
-# _ROUNDING of itself of a value it is compared with is built.
+# The base-2 logarithm of _PRINTABLE. A logarithm of a need or a cap is off
+# by a few units in its last place (at most 7e-16 of itself for the
+# expression needs up to p = 20,000), far less than _ROUNDING of itself. A
+# need whose logarithm is nearer than that to a bound it is compared with,
+# or to an integer, is built.
 _LOG2_PRINTABLE = 4299 * log2(10)
 _ROUNDING = 1e-12
 
