@@ -2,7 +2,6 @@
 default caps, their refusals and the route names, which the CLI's parser
 and the routes' signatures need before any layer is loaded. Every check of
 a cap, and every refusal of a need over its cap, is made here."""
-from functools import partial
 from math import comb, factorial, lgamma, log, log2
 
 # Default budgets: every face enumeration with p <= 9 fits the expression
@@ -94,7 +93,7 @@ def check_need(log2_need: float, need, cap: int, template: str, *values) -> None
         if required > cap:
             raise BudgetExceededError(template.format(*values), required, cap)
     else:
-        raise BudgetExceededError(template.format(*values), partial(need, *values), cap,
+        raise BudgetExceededError(template.format(*values), lambda: need(*values), cap,
                                   int(log2_need))
 
 
